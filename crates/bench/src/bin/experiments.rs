@@ -1329,7 +1329,9 @@ fn ci_idle_concurrency(g: &motivo_graph::Graph, ctx: &Ctx) -> CiIdle {
             .expect("idle read")
             .expect("pong on an idle connection");
         assert!(
-            std::str::from_utf8(&frame).expect("UTF-8 pong").contains("\"pong\""),
+            std::str::from_utf8(&frame)
+                .expect("UTF-8 pong")
+                .contains("\"pong\""),
             "idle connection answered something other than a pong"
         );
         idle_conns_held += 1;

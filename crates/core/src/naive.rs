@@ -51,9 +51,12 @@ pub struct Estimates {
 }
 
 impl Estimates {
-    /// Estimated total number of induced k-graphlet copies.
+    /// Estimated total number of induced k-graphlet copies (`+0.0` when
+    /// no class was sampled).
     pub fn total_count(&self) -> f64 {
-        self.per_graphlet.iter().map(|e| e.count).sum()
+        // Not `sum()`: float `Sum` starts at `-0.0`, so an empty run would
+        // report `-0.0`.
+        self.per_graphlet.iter().fold(0.0, |acc, e| acc + e.count)
     }
 
     /// The estimate for a registry index, if that class was seen.
@@ -221,6 +224,16 @@ mod tests {
         }
         let avg = acc / runs as f64;
         assert!((avg - 10.0).abs() < 1.5, "triangle estimate {avg}, want 10");
+    }
+
+    #[test]
+    fn zero_samples_total_is_positive_zero() {
+        let g = generators::complete_graph(6);
+        let urn = build_urn(&g, &BuildConfig::new(3).seed(1)).unwrap();
+        let mut registry = GraphletRegistry::new(3);
+        let est = naive_estimates(&urn, &mut registry, 0, &SampleConfig::seeded(2));
+        assert!(est.per_graphlet.is_empty());
+        assert_eq!(est.total_count().to_bits(), 0.0f64.to_bits());
     }
 
     /// Star graph at k=3: all graphlets are paths (cherries through the

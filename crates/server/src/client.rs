@@ -60,7 +60,9 @@ impl From<std::io::Error> for ClientError {
 /// A response payload that decoded into an unexpected [`Response`]
 /// variant — impossible unless `Response::parse`'s kind table is wrong.
 fn variant_mismatch(kind: &str) -> ClientError {
-    ClientError::BadResponse(format!("response decoded into the wrong variant for `{kind}`"))
+    ClientError::BadResponse(format!(
+        "response decoded into the wrong variant for `{kind}`"
+    ))
 }
 
 /// A connected client.

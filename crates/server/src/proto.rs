@@ -1454,7 +1454,9 @@ mod tests {
                 threads: 0,
             },
             Request::Stats { urn: None },
-            Request::Stats { urn: Some(UrnId(4)) },
+            Request::Stats {
+                urn: Some(UrnId(4)),
+            },
             Request::Metrics,
             Request::Build {
                 graph: "g.mtvg".into(),
@@ -1578,10 +1580,8 @@ mod tests {
         assert_eq!(u.urns[0].id, "urn-1");
         assert_eq!(u.urns[0].lambda, None);
 
-        let fetch = from_str(
-            r#"{"payloads":["00ff"],"leader_len":96,"log_id":7,"stale":false}"#,
-        )
-        .unwrap();
+        let fetch =
+            from_str(r#"{"payloads":["00ff"],"leader_len":96,"log_id":7,"stale":false}"#).unwrap();
         let Response::ReplFetch(f) = Response::parse("ReplFetch", &fetch).unwrap() else {
             panic!()
         };

@@ -233,7 +233,12 @@ impl Poller {
         const CAP: usize = 512;
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; CAP];
         let n = unsafe {
-            sys::epoll_wait(self.epfd, buf.as_mut_ptr(), CAP as c_int, timeout_ms(timeout))
+            sys::epoll_wait(
+                self.epfd,
+                buf.as_mut_ptr(),
+                CAP as c_int,
+                timeout_ms(timeout),
+            )
         };
         if n < 0 {
             let e = io::Error::last_os_error();
@@ -659,7 +664,9 @@ mod tests {
             waker.wake(); // coalesces; still one readable pipe
             waker
         });
-        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
@@ -680,21 +687,21 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let mut poller = Poller::new().unwrap();
-        poller
-            .add(listener.as_raw_fd(), 1, Interest::READ)
-            .unwrap();
+        poller.add(listener.as_raw_fd(), 1, Interest::READ).unwrap();
         let mut events = Vec::new();
 
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token == 1 && e.readable));
         let (accepted, _) = listener.accept().unwrap();
 
         // An idle healthy socket with write interest is instantly writable…
+        poller.add(accepted.as_raw_fd(), 2, Interest::BOTH).unwrap();
         poller
-            .add(accepted.as_raw_fd(), 2, Interest::BOTH)
+            .wait(&mut events, Some(Duration::from_secs(10)))
             .unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
         assert!(events.iter().any(|e| e.token == 2 && e.writable));
         // …and dropping the interest stops the reports.
         poller

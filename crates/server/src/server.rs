@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Workers never touch sockets: a finished response is handed back to the
-//! reactor through the [`Handback`] list plus a wakeup-pipe poke, and the
+//! reactor through the `Handback` list plus a wakeup-pipe poke, and the
 //! reactor appends it to the connection's [`WriteBuf`]. A connection
 //! therefore costs a table entry and two byte buffers — not a thread —
 //! which is what lets one server hold thousands of idle connections on a
@@ -30,14 +30,14 @@
 //! in flight before further pipelined frames bounce as `Busy` too. On the
 //! write side, a socket that stops accepting bytes parks the response in
 //! its `WriteBuf` under write-interest re-registration; a consumer whose
-//! backlog passes [`WBUF_CAP`] is dropped as dead.
+//! backlog passes `WBUF_CAP` is dropped as dead.
 //!
 //! **Graceful shutdown:** a `Shutdown` request (or [`Server::shutdown`])
 //! sets the signal and wakes the reactor. The listener is deregistered,
 //! reads stop, frames that had already fully arrived are answered
 //! `ShuttingDown`, workers drain every job already accepted — a request
 //! that was not rejected with `Busy` always gets its real response — and
-//! the reactor lingers (bounded by [`WRITE_TIMEOUT`]) until every
+//! the reactor lingers (bounded by `WRITE_TIMEOUT`) until every
 //! response byte is flushed, then the serve thread writes the store's
 //! serving statistics to `server-stats.json` before returning.
 //!
@@ -350,9 +350,14 @@ enum Job {
 /// What a worker hands back to the reactor when a job finishes.
 enum Completion {
     /// A response ready to be queued on its connection's write buffer.
-    Response { token: u64, text: String },
+    Response {
+        token: u64,
+        text: String,
+    },
     /// The sync step finished; re-arm the sync timer after `delay`.
-    SyncDone { delay: Duration },
+    SyncDone {
+        delay: Duration,
+    },
     SnapshotDone,
 }
 
@@ -656,25 +661,29 @@ fn reactor_loop(
             }
             if let Some(due) = next_sync {
                 if due <= now && !sync_inflight {
-                    next_sync = match tx.as_ref().map(|t| t.try_send(Job::SyncStep)) {
-                        Some(Ok(())) => {
-                            sync_inflight = true;
-                            outstanding += 1;
-                            None // re-armed by the SyncDone completion
-                        }
-                        _ => Some(now + POLL_INTERVAL),
+                    next_sync = if tx
+                        .as_ref()
+                        .is_some_and(|t| t.try_send(Job::SyncStep).is_ok())
+                    {
+                        sync_inflight = true;
+                        outstanding += 1;
+                        None // re-armed by the SyncDone completion
+                    } else {
+                        Some(now + POLL_INTERVAL)
                     };
                 }
             }
             if let Some(due) = next_snapshot {
                 if due <= now && !snapshot_inflight {
-                    next_snapshot = match tx.as_ref().map(|t| t.try_send(Job::Snapshot)) {
-                        Some(Ok(())) => {
-                            snapshot_inflight = true;
-                            outstanding += 1;
-                            snapshot_period.map(|p| now + p)
-                        }
-                        _ => Some(now + POLL_INTERVAL),
+                    next_snapshot = if tx
+                        .as_ref()
+                        .is_some_and(|t| t.try_send(Job::Snapshot).is_ok())
+                    {
+                        snapshot_inflight = true;
+                        outstanding += 1;
+                        snapshot_period.map(|p| now + p)
+                    } else {
+                        Some(now + POLL_INTERVAL)
                     };
                 }
             }
@@ -682,7 +691,10 @@ fn reactor_loop(
 
         // Sleep until readiness, a wakeup, or the nearest timer.
         let mut timeout = Duration::from_secs(1);
-        for t in [next_sync, next_snapshot, drain_deadline].into_iter().flatten() {
+        for t in [next_sync, next_snapshot, drain_deadline]
+            .into_iter()
+            .flatten()
+        {
             timeout = timeout.min(t.saturating_duration_since(now));
         }
         if let Err(e) = poller.wait(&mut events, Some(timeout)) {
@@ -933,7 +945,10 @@ fn handle_frame(
             let invalid = metrics.kind("Invalid");
             invalid.requests.inc();
             invalid.errors.inc();
-            return push_response(conn, &proto::error_response(&id, ErrorKind::BadRequest, &msg));
+            return push_response(
+                conn,
+                &proto::error_response(&id, ErrorKind::BadRequest, &msg),
+            );
         }
     };
     let kind = req.kind();
@@ -1571,7 +1586,11 @@ mod tests {
         let err = ServeOptions::builder().repl_poll_ms(50).build();
         assert!(err.unwrap_err().contains("replica_of"));
         // queue_depth >= workers, or either side defaulted, is fine.
-        assert!(ServeOptions::builder().workers(8).queue_depth(8).build().is_ok());
+        assert!(ServeOptions::builder()
+            .workers(8)
+            .queue_depth(8)
+            .build()
+            .is_ok());
         assert!(ServeOptions::builder().queue_depth(1).build().is_ok());
     }
 }

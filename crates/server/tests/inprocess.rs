@@ -336,7 +336,10 @@ fn typed_client_and_hello_handshake() {
     let raw = client
         .request(&json!({"type": "NaiveEstimates", "urn": 0, "samples": 2_000, "seed": 7}))
         .unwrap();
-    assert_eq!(raw.get("total_count").unwrap().as_f64(), Some(est.total_count));
+    assert_eq!(
+        raw.get("total_count").unwrap().as_f64(),
+        Some(est.total_count)
+    );
     assert_eq!(
         raw.get("classes").unwrap().as_array().unwrap().len(),
         est.classes.len()
@@ -640,6 +643,24 @@ fn disabled_cache_recomputes_identical_bytes() {
     let report = server.join();
     assert_eq!(report.query_cache.misses, 2, "both requests recomputed");
     assert_eq!(report.query_cache.resident_bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zero-sample request has no classes and a total of positive zero,
+/// not `-0.0`.
+#[test]
+fn zero_sample_estimates_answer_positive_zero() {
+    let dir = workdir("zero-samples");
+    let store = seeded_store(&dir);
+    let server = Server::bind(store, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let raw = client
+        .send_raw(r#"{"type":"NaiveEstimates","urn":0,"samples":0,"seed":1}"#)
+        .unwrap();
+    assert!(raw.contains(r#""total_count":0.0,"#), "{raw}");
+    assert!(raw.contains(r#""classes":[]"#), "{raw}");
+    client.request(&json!({"type": "Shutdown"})).unwrap();
+    server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
 

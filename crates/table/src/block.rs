@@ -1,11 +1,22 @@
 //! Sorted immutable block storage for one table level.
 //!
-//! A sealed [`BlockLevel`] is a single file of ~16 KB *blocks*, each
+//! A sealed [`BlockLevel`] is a single file of ~1 KiB *blocks*, each
 //! holding consecutive vertices' encoded records with delta-compressed
 //! vertex ids, followed by a per-block index (`first vertex, entry count,
-//! offset, length`) and a checksummed footer. Reads are `O(log blocks)`
-//! binary search over the index plus one positioned block read and an
-//! in-block linear scan — the `O(log n + B)` contract of DESIGN.md §1.5.
+//! offset, length`) and a checksummed footer. The data region is mapped
+//! read-only, as the paper reads lower levels back (§3.3): a point read is
+//! an `O(log blocks)` binary search over the in-memory index plus a walk
+//! of one block *in place* in the mapping, and the hit payload decodes
+//! straight from the mapped bytes — no syscall and no copy, the
+//! `O(log n + B)` contract of DESIGN.md §1.5. Full scans instead use
+//! positioned reads of runs of blocks, so one pass over a level does not
+//! fault the whole file into the resident set.
+//!
+//! A sealed file is never modified in place: [`BlockWriter`] writes under
+//! a temporary name and renames over the final path in
+//! [`BlockWriter::finish`], so a handle opened earlier keeps serving its
+//! own inode. A file truncated by some other writer while mapped raises
+//! `SIGBUS` on the next read of a lost page, not an I/O error.
 //!
 //! The build path is LSM-shaped: [`LevelStore::put`] appends to a
 //! byte-budgeted memtable; when the budget would be exceeded the memtable
@@ -26,7 +37,8 @@
 //! The first entry of a block has Δ = 0 from the indexed `first_v`;
 //! later entries delta from their predecessor. Payloads are exactly the
 //! bytes [`Record::encode`] produces, so block storage composes with both
-//! codecs unchanged.
+//! codecs unchanged. Readers accept any block size, so files written with
+//! an older, larger target keep opening.
 
 use crate::codec::{read_varint_u64, RecordCodec};
 use crate::merge::{crc32, MergeIter, RunReader, RunWriter};
@@ -38,7 +50,14 @@ use std::path::{Path, PathBuf};
 
 /// Soft cap on a block's body: a block closes once it would grow past
 /// this. A single oversized record still gets a (larger) block of its own.
-pub const BLOCK_TARGET_BYTES: usize = 16 * 1024;
+/// Small blocks keep a point read's in-block walk short; the in-memory
+/// index costs 24 bytes per block, about 2% of the level.
+pub const BLOCK_TARGET_BYTES: usize = 1024;
+
+/// Granularity of sequential I/O: the writer's buffer, and the minimum
+/// run of consecutive blocks one positioned read of a scan covers — so
+/// small blocks do not multiply syscalls.
+const IO_RUN_BYTES: usize = 64 * 1024;
 
 const FOOTER_LEN: u64 = 28;
 const INDEX_ENTRY_LEN: u64 = 20;
@@ -52,6 +71,94 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// The two calls behind [`Mmap`], through thin `extern "C"` shims against
+/// the libc std already links (the reactor's discipline for epoll). The
+/// constants agree across Linux and the BSDs.
+mod sys {
+    use std::os::raw::{c_int, c_long, c_void};
+
+    pub const PROT_READ: c_int = 0x1;
+    pub const MAP_SHARED: c_int = 0x1;
+    pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+}
+
+/// A read-only mapping of a file's first `len` bytes, unmapped on drop.
+/// A zero-length region is never mapped; it reads as the empty slice.
+struct Mmap {
+    ptr: *const u8,
+    len: usize,
+}
+
+// SAFETY: `ptr` and `len` describe a read-only mapping that this value
+// alone owns and unmaps, so it behaves like a `Box<[u8]>`: it may move to
+// another thread, and shared references only read it. Its bytes do not
+// change under a reader because a sealed block file is never modified in
+// place (module docs).
+unsafe impl Send for Mmap {}
+unsafe impl Sync for Mmap {}
+
+impl Mmap {
+    fn map(file: &File, len: u64) -> io::Result<Mmap> {
+        use std::os::fd::AsRawFd;
+        let len = usize::try_from(len)
+            .map_err(|_| invalid("block data region exceeds the address space"))?;
+        if len == 0 {
+            return Ok(Mmap {
+                ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
+                len: 0,
+            });
+        }
+        // SAFETY: a fresh mapping at a kernel-chosen address aliases no
+        // Rust memory; failure is reported through the return value.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ,
+                sys::MAP_SHARED,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr == sys::MAP_FAILED {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Mmap {
+            ptr: ptr as *const u8,
+            len,
+        })
+    }
+
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` is readable for `len` bytes until drop (or
+        // dangling, which is valid for the empty slice), and the file
+        // behind it is never modified in place, so the bytes stay fixed
+        // for the borrow.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl Drop for Mmap {
+    fn drop(&mut self) {
+        if self.len > 0 {
+            // SAFETY: unmaps exactly the region `map` created, once.
+            unsafe { sys::munmap(self.ptr as *mut _, self.len) };
+        }
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct BlockMeta {
     first_v: u32,
@@ -63,7 +170,9 @@ struct BlockMeta {
 /// Streams ascending `(vertex, encoded record)` pairs into a block file.
 pub struct BlockWriter {
     out: BufWriter<File>,
+    tmp: PathBuf,
     path: PathBuf,
+    target: usize,
     n: u32,
     index: Vec<BlockMeta>,
     cur: Vec<u8>,
@@ -78,17 +187,25 @@ pub struct BlockWriter {
 }
 
 impl BlockWriter {
+    /// Starts a block file for `path`. The bytes go to `<path>.new` until
+    /// [`BlockWriter::finish`] renames them into place, so a file already
+    /// at `path` — and every handle still reading it — is left untouched.
     pub fn create<P: AsRef<Path>>(path: P, n: u32, codec: RecordCodec) -> io::Result<BlockWriter> {
         let path = path.as_ref().to_path_buf();
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".new");
+        let tmp = PathBuf::from(tmp);
         let file = File::options()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
+            .open(&tmp)?;
         Ok(BlockWriter {
-            out: BufWriter::new(file),
+            out: BufWriter::with_capacity(IO_RUN_BYTES, file),
+            tmp,
             path,
+            target: BLOCK_TARGET_BYTES,
             n,
             index: Vec::new(),
             cur: Vec::with_capacity(BLOCK_TARGET_BYTES),
@@ -103,6 +220,14 @@ impl BlockWriter {
         })
     }
 
+    /// Closes blocks near `target` bytes instead of [`BLOCK_TARGET_BYTES`],
+    /// to write files in an older layout.
+    #[cfg(test)]
+    fn with_target(mut self, target: usize) -> BlockWriter {
+        self.target = target;
+        self
+    }
+
     /// Appends one record's encoded bytes. Vertices must arrive strictly
     /// ascending — the writer is fed by sorted memtables or the merge.
     pub fn add_encoded(&mut self, v: u32, payload: &[u8]) -> io::Result<()> {
@@ -114,7 +239,7 @@ impl BlockWriter {
         }
         self.last_v = Some(v);
         // Close the open block if this entry would push it past target.
-        if self.cur_entries > 0 && self.cur.len() + payload.len() + 10 > BLOCK_TARGET_BYTES {
+        if self.cur_entries > 0 && self.cur.len() + payload.len() + 10 > self.target {
             self.flush_block()?;
         }
         let delta = if self.cur_entries == 0 {
@@ -165,7 +290,8 @@ impl BlockWriter {
         Ok(())
     }
 
-    /// Writes the index and footer; returns the sealed read handle.
+    /// Writes the index and footer, renames the file into place, and
+    /// returns the sealed read handle.
     pub fn finish(mut self) -> io::Result<SealedBlocks> {
         if self.cur_entries > 0 {
             self.flush_block()?;
@@ -187,8 +313,11 @@ impl BlockWriter {
         self.out.write_all(BLOCK_MAGIC)?;
         self.out.flush()?;
         let file = self.out.into_inner().map_err(|e| e.into_error())?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        let data = Mmap::map(&file, self.offset)?;
         Ok(SealedBlocks {
             file,
+            data,
             path: self.path,
             codec: self.codec,
             n: self.n,
@@ -199,9 +328,11 @@ impl BlockWriter {
     }
 }
 
-/// Read handle over a finished block file.
+/// Read handle over a finished block file: point reads from the mapped
+/// data region, scans through positioned reads of the file.
 pub struct SealedBlocks {
     file: File,
+    data: Mmap,
     path: PathBuf,
     codec: RecordCodec,
     n: u32,
@@ -214,6 +345,7 @@ impl SealedBlocks {
     /// Opens and validates a block file: footer magic, index checksum,
     /// and contiguous in-bounds block extents. Any truncation or
     /// corruption is rejected here, before a single record is served.
+    /// Only then is the data region mapped.
     pub fn open<P: AsRef<Path>>(path: P, codec: RecordCodec) -> io::Result<SealedBlocks> {
         use std::os::unix::fs::FileExt;
         let path = path.as_ref().to_path_buf();
@@ -265,8 +397,10 @@ impl SealedBlocks {
         if expect_offset != data_len {
             return Err(invalid("block data region length mismatch"));
         }
+        let data = Mmap::map(&file, data_len)?;
         Ok(SealedBlocks {
             file,
+            data,
             path,
             codec,
             n,
@@ -280,20 +414,13 @@ impl SealedBlocks {
         &self.path
     }
 
-    fn read_block(&self, m: &BlockMeta) -> io::Result<Vec<u8>> {
-        use std::os::unix::fs::FileExt;
-        let mut body = vec![0u8; m.len as usize];
-        self.file.read_exact_at(&mut body, m.offset)?;
-        Ok(body)
-    }
-
     /// Walks a block body, calling `f(vertex, payload)` per entry until it
-    /// returns `false`.
-    fn walk(
+    /// returns `false`. Payloads borrow from `body`.
+    fn walk<'b>(
         &self,
         m: &BlockMeta,
-        body: &[u8],
-        mut f: impl FnMut(u32, &[u8]) -> bool,
+        body: &'b [u8],
+        mut f: impl FnMut(u32, &'b [u8]) -> io::Result<bool>,
     ) -> io::Result<()> {
         let mut pos = 0usize;
         let mut v = m.first_v;
@@ -303,7 +430,7 @@ impl SealedBlocks {
             let len = read_varint_u64(body, &mut pos)
                 .ok_or_else(|| invalid("corrupt block entry length"))?
                 as usize;
-            if pos + len > body.len() {
+            if len > body.len() - pos {
                 return Err(invalid("block entry payload overruns block"));
             }
             if i > 0 {
@@ -311,7 +438,7 @@ impl SealedBlocks {
                     .checked_add(delta as u32)
                     .ok_or_else(|| invalid("block vertex overflow"))?;
             }
-            if !f(v, &body[pos..pos + len]) {
+            if !f(v, &body[pos..pos + len])? {
                 return Ok(());
             }
             pos += len;
@@ -328,61 +455,71 @@ impl SealedBlocks {
         })
     }
 
+    /// One lookup: binary search of the index, then a walk of the block
+    /// in place in the mapping (extents were checked when the handle was
+    /// made).
     fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
         let at = self.index.partition_point(|m| m.first_v <= v);
         if at == 0 {
             return Ok(RecordHandle::Owned(Record::default()));
         }
         let m = self.index[at - 1];
-        let body = self.read_block(&m)?;
-        let mut hit: Option<Vec<u8>> = None;
-        self.walk(&m, &body, |ev, payload| {
+        let body = &self.data.bytes()[m.offset as usize..][..m.len as usize];
+        let mut hit = None;
+        self.walk(&m, body, |ev, payload| {
             if ev == v {
-                hit = Some(payload.to_vec());
-                false
-            } else {
-                ev < v
+                hit = Some(payload);
             }
+            Ok(ev < v)
         })?;
-        Ok(match hit {
-            Some(payload) => RecordHandle::Owned(self.decode(v, &payload)?),
-            None => RecordHandle::Owned(Record::default()),
-        })
+        Ok(RecordHandle::Owned(match hit {
+            Some(payload) => self.decode(v, payload)?,
+            None => Record::default(),
+        }))
     }
 
-    /// Streams `(vertex, record)` ascending, reading one block at a time.
+    /// Streams `(vertex, record)` ascending, decoding one block at a
+    /// time. Each positioned read covers a run of consecutive blocks of at
+    /// least [`IO_RUN_BYTES`]. Scans do not go through the mapping: a
+    /// mapped pass would leave every page of the file resident in this
+    /// process.
     fn scan(&self) -> LevelScan<'_> {
+        use std::os::unix::fs::FileExt;
         let mut next_block = 0usize;
+        // The bytes of blocks up to `run_end`, read from file offset
+        // `run_start`.
+        let mut run = Vec::new();
+        let (mut run_start, mut run_end) = (0u64, 0usize);
         let mut pending = Vec::new().into_iter();
         Box::new(std::iter::from_fn(move || loop {
             if let Some((v, rec)) = pending.next() {
                 return Some(Ok((v, RecordHandle::Owned(rec))));
             }
-            if next_block >= self.index.len() {
+            if next_block == self.index.len() {
                 return None;
+            }
+            if next_block == run_end {
+                run_start = self.index[next_block].offset;
+                let mut len = 0usize;
+                while run_end < self.index.len() && len < IO_RUN_BYTES {
+                    len += self.index[run_end].len as usize;
+                    run_end += 1;
+                }
+                run.resize(len, 0);
+                if let Err(e) = self.file.read_exact_at(&mut run, run_start) {
+                    next_block = self.index.len();
+                    return Some(Err(e));
+                }
             }
             let m = self.index[next_block];
             next_block += 1;
-            let body = match self.read_block(&m) {
-                Ok(b) => b,
-                Err(e) => return Some(Err(e)),
-            };
-            let mut entries: Vec<(u32, Record)> = Vec::with_capacity(m.entries as usize);
-            let mut decode_err = None;
-            let walked = self.walk(&m, &body, |v, payload| match self.decode(v, payload) {
-                Ok(rec) => {
-                    entries.push((v, rec));
-                    true
-                }
-                Err(e) => {
-                    decode_err = Some(e);
-                    false
-                }
+            let body = &run[(m.offset - run_start) as usize..][..m.len as usize];
+            let mut entries = Vec::with_capacity(m.entries as usize);
+            let walked = self.walk(&m, body, |v, payload| {
+                entries.push((v, self.decode(v, payload)?));
+                Ok(true)
             });
             if let Err(e) = walked {
-                return Some(Err(e));
-            }
-            if let Some(e) = decode_err {
                 return Some(Err(e));
             }
             pending = entries.into_iter();
@@ -662,6 +799,51 @@ mod tests {
         )
     }
 
+    /// A record whose encoding outgrows a block on both codecs: every
+    /// colored treelet on 2–4 of 6 colors, with ~100-bit counts.
+    fn big_record_in(codec: RecordCodec, seed: u64) -> Record {
+        use motivo_treelet::all_treelets;
+        let mut keys = Vec::new();
+        for h in 2..=4u32 {
+            for &t in all_treelets(h).iter() {
+                for colors in ColorSet::full(6).subsets_of_size(h) {
+                    keys.push(ColoredTreelet::new(t, colors).code());
+                }
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let counts = keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, (1u128 << 100) + seed as u128 * 1000 + i as u128))
+            .collect();
+        Record::from_counts_in(codec, counts)
+    }
+
+    fn contents(level: &dyn LevelStore) -> Vec<(u32, Vec<(ColoredTreelet, u128)>)> {
+        level
+            .scan()
+            .map(|item| {
+                let (v, rec) = item.unwrap();
+                (v, rec.iter().collect())
+            })
+            .collect()
+    }
+
+    /// `level` answers every point read and its scan exactly like `mem`.
+    fn assert_reads_like(level: &dyn LevelStore, mem: &crate::MemoryLevel) {
+        for v in 0..mem.num_vertices() {
+            assert_eq!(
+                level.get(v).unwrap().iter().collect::<Vec<_>>(),
+                mem.get(v).unwrap().iter().collect::<Vec<_>>(),
+                "vertex {v}"
+            );
+        }
+        assert_eq!(contents(level), contents(mem));
+        assert_eq!(level.record_count(), mem.record_count());
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("motivo-block-test-{name}"));
         std::fs::remove_dir_all(&dir).ok();
@@ -830,5 +1012,114 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resealing_a_path_leaves_open_handles_on_their_own_records() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("reseal-{codec}"));
+            let path = dir.join("l.mtvb");
+            let mut first = BlockLevel::create(&path, 100, codec, 0).unwrap();
+            let mut mem = crate::MemoryLevel::new(100, codec);
+            for v in 0..100u32 {
+                first.put(v, record_in(codec, v as u64)).unwrap();
+                mem.put(v, record_in(codec, v as u64)).unwrap();
+            }
+            first.seal().unwrap();
+            let reopened = BlockLevel::open(&path, codec).unwrap();
+            // Seal other records at the same path while both handles live.
+            let mut second = BlockLevel::create(&path, 100, codec, 0).unwrap();
+            let mut mem2 = crate::MemoryLevel::new(100, codec);
+            for v in (0..100u32).step_by(3) {
+                second.put(v, big_record_in(codec, v as u64)).unwrap();
+                mem2.put(v, big_record_in(codec, v as u64)).unwrap();
+            }
+            second.seal().unwrap();
+            assert_reads_like(&first, &mem);
+            assert_reads_like(&reopened, &mem);
+            assert_reads_like(&second, &mem2);
+            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn empty_level_maps_nothing_and_reads_like_memory() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("empty-{codec}"));
+            let path = dir.join("l.mtvb");
+            let mut blk = BlockLevel::create(&path, 30, codec, 0).unwrap();
+            blk.put(4, Record::default()).unwrap(); // empty records are dropped
+            blk.seal().unwrap();
+            let mem = crate::MemoryLevel::new(30, codec);
+            assert_eq!(blk.profile().blocks, 0);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), FOOTER_LEN);
+            assert_reads_like(&blk, &mem);
+            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn records_larger_than_a_block_read_like_memory() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("oversized-{codec}"));
+            let path = dir.join("l.mtvb");
+            let mut blk = BlockLevel::create(&path, 60, codec, 0).unwrap();
+            let mut mem = crate::MemoryLevel::new(60, codec);
+            for v in 0..60u32 {
+                // Oversized records between runs of small ones, and two
+                // oversized neighbours at the end.
+                let rec = if v % 7 == 3 || v >= 58 {
+                    big_record_in(codec, v as u64)
+                } else {
+                    record_in(codec, v as u64)
+                };
+                assert!(v % 7 != 3 || rec.encoded_len() > BLOCK_TARGET_BYTES);
+                blk.put(v, rec.clone()).unwrap();
+                mem.put(v, rec).unwrap();
+            }
+            blk.seal().unwrap();
+            assert_reads_like(&blk, &mem);
+            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn levels_written_with_16_kib_blocks_still_read() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("16k-{codec}"));
+            let old = dir.join("old.mtvb");
+            let cur = dir.join("cur.mtvb");
+            let mut w_old = BlockWriter::create(&old, 3000, codec)
+                .unwrap()
+                .with_target(16 * 1024);
+            let mut w_cur = BlockWriter::create(&cur, 3000, codec).unwrap();
+            let mut mem = crate::MemoryLevel::new(3000, codec);
+            for v in (0..3000u32).filter(|v| v % 5 != 1) {
+                let rec = if v % 97 == 0 {
+                    big_record_in(codec, v as u64)
+                } else {
+                    record_in(codec, v as u64)
+                };
+                w_old.add(v, &rec).unwrap();
+                w_cur.add(v, &rec).unwrap();
+                mem.put(v, rec).unwrap();
+            }
+            let (old_blocks, cur_blocks) = (
+                w_old.finish().unwrap().index.len(),
+                w_cur.finish().unwrap().index.len(),
+            );
+            assert!(
+                old_blocks * 8 < cur_blocks,
+                "{codec}: {old_blocks} old vs {cur_blocks} current blocks"
+            );
+            let reopened = BlockLevel::open(&old, codec).unwrap();
+            assert_eq!(reopened.profile().blocks as usize, old_blocks);
+            assert_reads_like(&reopened, &mem);
+            assert_reads_like(&BlockLevel::open(&cur, codec).unwrap(), &mem);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

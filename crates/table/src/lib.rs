@@ -21,9 +21,10 @@
 //! sparse cumulative anchors — which answers the same queries from a
 //! fraction of the bytes. [`storage`] provides the backends: in-memory,
 //! the on-disk "greedy flushing" layout where each completed record
-//! leaves RAM immediately (§3.1), and [`block`] — sorted immutable ~16 KB
+//! leaves RAM immediately (§3.1), and [`block`] — sorted immutable ~1 KiB
 //! blocks built through a byte-budgeted memtable with spill-and-merge
-//! ([`merge`]), bounding peak build memory for out-of-core builds.
+//! ([`merge`]), bounding peak build memory for out-of-core builds, and
+//! read back through a read-only memory map (§3.3).
 //! [`alias`] implements Vose's alias method used to draw the root vertex
 //! in `O(1)` (§3.3).
 

@@ -26,19 +26,33 @@ pub(crate) const RUN_MAGIC: &[u8; 4] = b"MTVR";
 pub(crate) const RUN_VERSION: u32 = 1;
 const END_SENTINEL: u32 = u32::MAX;
 
-/// CRC32 (IEEE 802.3). Private copy: `motivo-core` owns the shared one but
-/// depends on this crate, so the table layer keeps its own 25 lines.
+/// CRC32 (IEEE 802.3), table-driven: block indexes hold one entry per
+/// 1 KiB block, so the bitwise loop would cost milliseconds per level.
+/// Private copy: `motivo-core` owns the shared one but depends on this
+/// crate, so the table layer keeps its own.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut t = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                bit += 1;
+            }
+            t[i] = c;
+            i += 1;
+        }
+        t
+    };
     let mut state = 0xFFFF_FFFFu32;
     for &b in data {
-        state ^= b as u32;
-        for _ in 0..8 {
-            state = if state & 1 != 0 {
-                0xEDB8_8320 ^ (state >> 1)
-            } else {
-                state >> 1
-            };
-        }
+        state = TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state ^ 0xFFFF_FFFF
 }
@@ -308,6 +322,16 @@ mod tests {
 
     fn collect(m: MergeIter<impl Iterator<Item = io::Result<(u32, Vec<u8>)>>>) -> Vec<(u32, u8)> {
         m.map(|r| r.unwrap()).map(|(v, p)| (v, p[0])).collect()
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_values() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! completion it is stored on disk in the compact form … The hash table is
 //! then emptied and memory released", so the table never fully resides in
 //! main memory; lower levels are later read back through memory-mapped I/O
-//! (§3.3). Std-only Rust has no `mmap`, so [`DiskLevel`] keeps a per-vertex
-//! `(offset, len)` index and serves reads with positioned `pread`-style
-//! calls — same architecture (records leave RAM at completion, reads go to
-//! the file), observable and testable. The paper's second sort pass exists
-//! to make keys seekable; the explicit index achieves the same and is noted
-//! as a substitution in DESIGN.md.
+//! (§3.3). [`crate::block`] does exactly that: a sealed `BlockLevel` maps
+//! its data region and serves point reads in place. The older
+//! [`DiskLevel`] keeps a per-vertex `(offset, len)` index and serves reads
+//! with positioned `pread`-style calls — same architecture (records leave
+//! RAM at completion, reads go to the file). The paper's second sort pass
+//! exists to make keys seekable; the explicit index achieves the same and
+//! is noted as a substitution in DESIGN.md.
 //!
 //! Every level and the assembled [`CountTable`] carry the [`RecordCodec`]
 //! their records are sealed under; `byte_size` reports the true encoded
@@ -510,19 +511,19 @@ impl CountTable {
         let n = self.levels[0].num_vertices();
         for (i, level) in self.levels.iter().enumerate() {
             let h = i as u32 + 1;
-            // Write through a temp name, then rename: the source level may
-            // be block-backed *in this very directory*, and creating the
-            // final file directly would truncate it mid-copy. The open
-            // source handle keeps the old inode across the rename.
-            let tmp = dir.join(format!("level-{h}.mtvb.new"));
-            let fin = dir.join(format!("level-{h}.mtvb"));
-            let mut writer = crate::block::BlockWriter::create(&tmp, n, self.codec)?;
+            // The source level may be block-backed *in this very
+            // directory*; the writer renames its output over it only at
+            // `finish`, and the open source handle keeps the old inode.
+            let mut writer = crate::block::BlockWriter::create(
+                dir.join(format!("level-{h}.mtvb")),
+                n,
+                self.codec,
+            )?;
             for item in level.scan() {
                 let (v, rec) = item?;
                 writer.add(v, &rec)?;
             }
             writer.finish()?;
-            std::fs::rename(&tmp, &fin)?;
             // Clean up files from the pre-block v2 layout so the directory
             // has a single source of truth.
             std::fs::remove_file(dir.join(format!("level-{h}.mtvt"))).ok();

@@ -40,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let urns = client.list_urns()?;
-    println!("urns: {:?}", urns.urns.iter().map(|u| &u.id).collect::<Vec<_>>());
+    println!(
+        "urns: {:?}",
+        urns.urns.iter().map(|u| &u.id).collect::<Vec<_>>()
+    );
 
     let est = client.naive_estimates(UrnId(0), 20_000, 3)?;
     println!(

@@ -236,7 +236,10 @@ fn reactor_holds_1000_idle_connections_on_fixed_threads() {
         let frame = proto::read_frame(&mut active).unwrap().unwrap();
         let v: serde_json::Value =
             serde_json::from_str(std::str::from_utf8(&frame).unwrap()).unwrap();
-        assert_eq!(serde_json::to_string(&v.get("ok").unwrap()).unwrap(), expected);
+        assert_eq!(
+            serde_json::to_string(&v.get("ok").unwrap()).unwrap(),
+            expected
+        );
     }
 
     // Every idle connection was accepted and still answers — and holding
