@@ -20,6 +20,7 @@ use crate::sample::SampleConfig;
 use crate::stats::percentile;
 use motivo_graph::Graph;
 use motivo_graphlet::{Graphlet, GraphletRegistry};
+use motivo_table::StorageKind;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -57,7 +58,8 @@ pub struct EnsembleConfig {
     /// Estimator per run.
     pub estimator: Estimator,
     /// Build template (`k`, storage, biased coloring, …); its seed is
-    /// overridden per run.
+    /// overridden per run. Block storage under `dir` builds run `r` in
+    /// `dir/run-<r>` and removes that directory when the run ends.
     pub build: BuildConfig,
 }
 
@@ -155,6 +157,62 @@ enum RunOutcome {
     },
 }
 
+/// Builds and estimates run `r` of the ensemble under `bcfg`.
+fn run_once(
+    g: &Graph,
+    cfg: &EnsembleConfig,
+    bcfg: &BuildConfig,
+    r: u64,
+    inner: usize,
+) -> RunOutcome {
+    let urn = match build_urn(g, bcfg) {
+        Ok(u) => u,
+        Err(BuildError::EmptyUrn) => return RunOutcome::Empty,
+        Err(e) => return RunOutcome::Failed(e),
+    };
+    let mut local = GraphletRegistry::new(bcfg.k as u8);
+    let sample_cfg = SampleConfig::seeded(cfg.base_seed + 7000 + r).threads(inner);
+    let est = match &cfg.estimator {
+        Estimator::Naive { samples } => naive_estimates(&urn, &mut local, *samples, &sample_cfg),
+        Estimator::Ags(acfg) => {
+            let mut acfg = acfg.clone();
+            acfg.sample = SampleConfig {
+                seed: sample_cfg.seed,
+                threads: inner,
+                ..acfg.sample
+            };
+            ags(&urn, &mut local, &acfg).estimates
+        }
+        Estimator::Mixed { samples, c_bar } => {
+            if r.is_multiple_of(2) {
+                naive_estimates(&urn, &mut local, *samples, &sample_cfg)
+            } else {
+                let acfg = AgsConfig {
+                    c_bar: *c_bar,
+                    max_samples: *samples,
+                    sample: sample_cfg,
+                    ..AgsConfig::default()
+                };
+                ags(&urn, &mut local, &acfg).estimates
+            }
+        }
+    };
+    let per_class = est
+        .per_graphlet
+        .iter()
+        .map(|e| {
+            let code = local.info(e.index).graphlet.code();
+            (code, e.count, e.occurrences)
+        })
+        .collect();
+    RunOutcome::Done {
+        per_class,
+        build: urn.build_stats().total,
+        sample: est.elapsed,
+        samples: est.samples,
+    }
+}
+
 /// Runs the full ensemble protocol: the colorings are **independent by
 /// construction**, so they are estimated concurrently across
 /// `cfg.threads` workers (run `r` is a logical shard; results merge in run
@@ -183,7 +241,6 @@ pub fn ensemble(
     cfg: &EnsembleConfig,
 ) -> Result<EnsembleResult, BuildError> {
     assert!(cfg.runs >= 1);
-    let k = cfg.build.k;
     // Runs are the outer parallelism; the thread budget left over after
     // fanning out across runs goes to each run's build and sampling (e.g.
     // 2 runs on 8 threads → 4 inner threads each). Results do not depend
@@ -195,54 +252,20 @@ pub fn ensemble(
         let mut bcfg = cfg.build.clone();
         bcfg.seed = cfg.base_seed + r;
         bcfg.threads = inner;
-        let urn = match build_urn(g, &bcfg) {
-            Ok(u) => u,
-            Err(BuildError::EmptyUrn) => return RunOutcome::Empty,
-            Err(e) => return RunOutcome::Failed(e),
+        // Concurrent runs must not share level files: each builds in a
+        // directory of its own, removed once the run is done with it.
+        let run_dir = match &mut bcfg.storage {
+            StorageKind::Block { dir, .. } => {
+                *dir = dir.join(format!("run-{r}"));
+                Some(dir.clone())
+            }
+            StorageKind::Memory => None,
         };
-        let mut local = GraphletRegistry::new(k as u8);
-        let sample_cfg = SampleConfig::seeded(cfg.base_seed + 7000 + r).threads(inner);
-        let est = match &cfg.estimator {
-            Estimator::Naive { samples } => {
-                naive_estimates(&urn, &mut local, *samples, &sample_cfg)
-            }
-            Estimator::Ags(acfg) => {
-                let mut acfg = acfg.clone();
-                acfg.sample = SampleConfig {
-                    seed: sample_cfg.seed,
-                    threads: inner,
-                    ..acfg.sample
-                };
-                ags(&urn, &mut local, &acfg).estimates
-            }
-            Estimator::Mixed { samples, c_bar } => {
-                if r.is_multiple_of(2) {
-                    naive_estimates(&urn, &mut local, *samples, &sample_cfg)
-                } else {
-                    let acfg = AgsConfig {
-                        c_bar: *c_bar,
-                        max_samples: *samples,
-                        sample: sample_cfg,
-                        ..AgsConfig::default()
-                    };
-                    ags(&urn, &mut local, &acfg).estimates
-                }
-            }
-        };
-        let per_class = est
-            .per_graphlet
-            .iter()
-            .map(|e| {
-                let code = local.info(e.index).graphlet.code();
-                (code, e.count, e.occurrences)
-            })
-            .collect();
-        RunOutcome::Done {
-            per_class,
-            build: urn.build_stats().total,
-            sample: est.elapsed,
-            samples: est.samples,
+        let outcome = run_once(g, cfg, &bcfg, r, inner);
+        if let Some(dir) = run_dir {
+            std::fs::remove_dir_all(dir).ok();
         }
+        outcome
     });
 
     // Coordinator: fold outcomes in run order, classifying codes into the
@@ -415,6 +438,46 @@ mod tests {
             (total - truth).abs() < truth * 0.15,
             "AGS ensemble total {total:.0}, exact {truth:.0}"
         );
+    }
+
+    /// Concurrent runs on block storage build in directories of their
+    /// own: the ensemble equals the in-memory one bit for bit, and no run
+    /// directory outlives its run.
+    #[test]
+    fn concurrent_block_runs_match_memory_bit_for_bit() {
+        let g = generators::barabasi_albert(800, 3, 7);
+        let dir = std::env::temp_dir().join("motivo-ensemble-block-runs");
+        std::fs::remove_dir_all(&dir).ok();
+        let mem = EnsembleConfig {
+            runs: 6,
+            base_seed: 1,
+            threads: 2,
+            ..EnsembleConfig::naive(5, 4_000)
+        };
+        let block = EnsembleConfig {
+            build: mem.build.clone().build_mem_bytes(&dir, 4 * 1024),
+            ..mem.clone()
+        };
+        let mut reg_mem = GraphletRegistry::new(5);
+        let mut reg_block = GraphletRegistry::new(5);
+        let a = ensemble(&g, &mut reg_mem, &mem).unwrap();
+        let b = ensemble(&g, &mut reg_block, &block).unwrap();
+        assert_eq!(a.effective_runs, b.effective_runs);
+        assert_eq!(a.samples, b.samples);
+        assert_eq!(a.classes.len(), b.classes.len());
+        for (x, y) in a.classes.iter().zip(&b.classes) {
+            assert_eq!(
+                reg_mem.info(x.index).graphlet.code(),
+                reg_block.info(y.index).graphlet.code()
+            );
+            for (p, q) in [(x.mean, y.mean), (x.p10, y.p10), (x.p90, y.p90)] {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
+            assert_eq!((x.seen_in, x.occurrences), (y.seen_in, y.occurrences));
+        }
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "run directories left behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

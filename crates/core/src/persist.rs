@@ -1,7 +1,7 @@
 //! Urn persistence: the build-up phase is the expensive half of a run, and
 //! the paper's tool keeps its count tables on external storage between
 //! phases (§3.1, §3.3). [`save_urn`]/[`load_urn`] let a built urn be reused
-//! across processes: the count table (per-level data + index files), the
+//! across processes: the count table (one block file per level), the
 //! coloring it was built under, and the build metrics all round-trip.
 //!
 //! The host graph itself is *not* stored here — it has its own format
@@ -266,24 +266,33 @@ mod tests {
         )
         .unwrap();
         save_urn(&urn, &dir).unwrap();
-        // Convert the table files back to the v1-era layout by hand: one
-        // DiskLevel data + index pair per level (records are plain — the
-        // build above used the default codec), then a v1 table.meta.
+        // Convert the table files back to the v1-era layout by hand
+        // (DESIGN.md §1.2): per level, the encoded records concatenated in
+        // `level-<h>.mtvt` plus a `.idx` of per-vertex `(offset, len)`
+        // (records are plain: the build above used the default codec),
+        // then a v1 table.meta.
         {
-            use motivo_table::LevelStore;
             let table = motivo_table::CountTable::open_dir(&dir).unwrap();
             for h in 1..=3u32 {
-                let mut dl = motivo_table::DiskLevel::create(
-                    dir.join(format!("level-{h}.mtvt")),
-                    g.num_nodes(),
-                    motivo_table::RecordCodec::Plain,
-                )
-                .unwrap();
+                let mut data = Vec::new();
+                let mut index = vec![(0u64, 0u32); g.num_nodes() as usize];
                 for item in table.level(h).scan() {
                     let (v, rec) = item.unwrap();
-                    dl.put(v, (*rec).clone()).unwrap();
+                    let off = data.len();
+                    rec.encode(&mut data);
+                    index[v as usize] = (off as u64, (data.len() - off) as u32);
                 }
-                dl.persist_index().unwrap();
+                let mut idx = Vec::new();
+                idx.put_slice(b"MTVI");
+                idx.put_u32_le(1);
+                idx.put_u64_le(index.len() as u64);
+                for (off, len) in index {
+                    idx.put_u64_le(off);
+                    idx.put_u32_le(len);
+                }
+                std::fs::write(dir.join(format!("level-{h}.mtvt")), data).unwrap();
+                std::fs::write(dir.join(format!("level-{h}.mtvt.idx")), idx).unwrap();
+                std::fs::remove_file(dir.join(format!("level-{h}.mtvb"))).unwrap();
             }
         }
         let mut meta = Vec::new();

@@ -109,44 +109,38 @@ const TOKEN_WAKER: u64 = 1;
 /// late completion for a dead connection can never hit its successor.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Server tuning knobs. Construct through [`ServeOptions::builder`] —
-/// the field-struct path is deprecated. The zeroed default for the pool
-/// knobs means "resolve from the machine": workers from the core count,
-/// queue depth from the workers. The cache budget defaults to
+/// Server tuning knobs. The fields are private: construct through
+/// [`ServeOptions::builder`], which validates them, or take the
+/// defaults with `ServeOptions::default()`. The zeroed default for the
+/// pool knobs means "resolve from the machine": workers from the core
+/// count, queue depth from the workers. The cache budget defaults to
 /// [`DEFAULT_CACHE_BYTES`]; there `0` means "no result caching"
 /// (singleflight dedup of concurrent identical requests stays active).
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Worker-pool size (`0` = available cores, at least 2).
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub workers: usize,
+    workers: usize,
     /// Bounded queue depth before requests bounce as `Busy`
     /// (`0` = `4 × workers`).
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub queue_depth: usize,
+    queue_depth: usize,
     /// Byte budget of the deterministic query-result cache
     /// (`0` = disabled).
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub cache_bytes: u64,
+    cache_bytes: u64,
     /// Seconds between periodic metrics snapshots written to
     /// `<store>/metrics-<unix-millis>.json` (`0` = periodic snapshots
     /// off). A final snapshot is always written at shutdown.
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub snapshot_secs: u64,
+    snapshot_secs: u64,
     /// Serve as a read-only **replica** of the leader at this address:
     /// drive a sync session tailing its journal, refuse `Build` and wire
     /// `Shutdown` with `ReadOnly` until a `Promote` request arrives. The
     /// store should have been opened with
     /// [`motivo_store::UrnStore::open_replica`].
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub replica_of: Option<String>,
+    replica_of: Option<String>,
     /// Milliseconds between replication polls once caught up
     /// (`0` = 100 ms). Only meaningful with `replica_of`.
-    #[deprecated(since = "0.10.0", note = "construct via ServeOptions::builder()")]
-    pub repl_poll_ms: u64,
+    repl_poll_ms: u64,
 }
 
-#[allow(deprecated)] // the Default impl seeds the builder
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
@@ -160,7 +154,6 @@ impl Default for ServeOptions {
     }
 }
 
-#[allow(deprecated)] // internal readers of the deprecated field surface
 impl ServeOptions {
     /// Starts a [`ServeOptionsBuilder`] seeded with the defaults.
     pub fn builder() -> ServeOptionsBuilder {
@@ -212,7 +205,6 @@ pub struct ServeOptionsBuilder {
     opts: ServeOptions,
 }
 
-#[allow(deprecated)] // the builder is the sanctioned writer of the fields
 impl ServeOptionsBuilder {
     /// Worker-pool size (`0` = available cores, at least 2).
     pub fn workers(mut self, workers: usize) -> ServeOptionsBuilder {
@@ -458,7 +450,6 @@ impl Drop for Server {
     }
 }
 
-#[allow(deprecated)] // reads the pre-builder ServeOptions field surface
 fn serve_loop(
     store: Arc<UrnStore>,
     listener: TcpListener,
@@ -1555,7 +1546,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // asserting the builder writes the legacy fields
     fn builder_sets_fields_and_validates() {
         let opts = ServeOptions::builder()
             .workers(3)

@@ -568,36 +568,63 @@ mod tests {
         assert_eq!(metas[0].status, BuildStatus::Built);
     }
 
+    /// A built urn directory holds exactly the urn's files — no spill run,
+    /// `.new` or legacy level file for a replica to fetch — whether the
+    /// build used the store's default budget or a tiny one that spills;
+    /// and each file survives a chunked copy to a replica.
     #[test]
     fn urn_files_roundtrip_with_chunked_reads() {
-        let leader = UrnStore::open(workdir("files-leader")).unwrap();
         let g = tiny_graph();
-        let handle = leader
-            .build_or_get(&g, &BuildConfig::new(3).seed(5))
-            .unwrap();
-        handle.wait().unwrap();
-        let id = handle.id();
+        let default_cfg = BuildConfig::new(3).seed(5);
+        let spilling_cfg = BuildConfig::new(3)
+            .seed(5)
+            .build_mem_bytes(std::path::PathBuf::new(), 256);
+        for (name, cfg, spills) in [
+            ("default", default_cfg, false),
+            ("spill", spilling_cfg, true),
+        ] {
+            let leader = UrnStore::open(workdir(&format!("files-leader-{name}"))).unwrap();
+            let handle = leader.build_or_get(&g, &cfg).unwrap();
+            let urn = handle.wait().unwrap();
+            assert_eq!(urn.urn().build_stats().spill_runs > 0, spills, "{name}");
+            let id = handle.id();
 
-        let files = leader.urn_file_list(id).unwrap();
-        assert!(!files.is_empty());
-        let replica =
-            UrnStore::open_replica(workdir("files-replica"), StoreOptions::default()).unwrap();
-        for f in &files {
-            // Deliberately tiny chunks to exercise reassembly.
-            let mut bytes = Vec::new();
-            loop {
-                let (chunk, total) = leader
-                    .read_urn_file(id, &f.name, bytes.len() as u64, 7)
-                    .unwrap();
-                bytes.extend_from_slice(&chunk);
-                if bytes.len() as u64 >= total {
-                    break;
+            let files = leader.urn_file_list(id).unwrap();
+            let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "coloring.mtvc",
+                    "level-1.mtvb",
+                    "level-2.mtvb",
+                    "level-3.mtvb",
+                    "table.meta",
+                    "urn.meta"
+                ],
+                "{name}"
+            );
+            let replica = UrnStore::open_replica(
+                workdir(&format!("files-replica-{name}")),
+                StoreOptions::default(),
+            )
+            .unwrap();
+            for f in &files {
+                // Deliberately tiny chunks to exercise reassembly.
+                let mut bytes = Vec::new();
+                loop {
+                    let (chunk, total) = leader
+                        .read_urn_file(id, &f.name, bytes.len() as u64, 7)
+                        .unwrap();
+                    bytes.extend_from_slice(&chunk);
+                    if bytes.len() as u64 >= total {
+                        break;
+                    }
                 }
+                assert_eq!(bytes.len() as u64, f.len);
+                assert_eq!(crc32(&bytes), f.crc);
+                replica.install_urn_file(id, &f.name, &bytes).unwrap();
             }
-            assert_eq!(bytes.len() as u64, f.len);
-            assert_eq!(crc32(&bytes), f.crc);
-            replica.install_urn_file(id, &f.name, &bytes).unwrap();
+            assert_eq!(replica.urn_file_list(id).unwrap(), files);
         }
-        assert_eq!(replica.urn_file_list(id).unwrap(), files);
     }
 }

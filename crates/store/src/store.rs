@@ -16,7 +16,7 @@
 use motivo_core::{build_urn, graph_fingerprint, load_urn, save_urn, BuildConfig};
 use motivo_graph::{io as graph_io, Graph};
 use motivo_obs::{Counter, Histogram, Obs, Registry};
-use motivo_table::storage::StorageKind;
+use motivo_table::{storage::StorageKind, DEFAULT_BUILD_MEM_BYTES};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -597,9 +597,10 @@ impl UrnMeta {
     }
 }
 
-/// The background build worker: drains the queue, builds with greedy
-/// flushing straight into the urn's directory, journals the outcome, and
-/// wakes every waiter.
+/// The background build worker: drains the queue, builds block levels
+/// straight into the urn's directory (under the caller's memtable budget,
+/// or [`DEFAULT_BUILD_MEM_BYTES`] if it set none), journals the outcome,
+/// and wakes every waiter.
 fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>, build_threads: usize) {
     while let Ok(job) = rx.recv() {
         let (id, graph, cfg) = match job {
@@ -618,19 +619,17 @@ fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>, build_threads: usize)
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 std::fs::create_dir_all(&dir_for_build)?;
                 let mut cfg = cfg;
-                // The build always lands in the urn's own directory, but a
-                // caller-requested memory budget (out-of-core block build)
-                // is preserved — only the directory is rewritten. The
-                // budget stays out of BuildKey: budgeted and unbudgeted
-                // builds produce byte-identical tables.
-                cfg.storage = match cfg.storage {
-                    StorageKind::Block { mem_budget, .. } => StorageKind::Block {
-                        dir: dir_for_build.clone(),
-                        mem_budget,
-                    },
-                    _ => StorageKind::Disk {
-                        dir: dir_for_build.clone(),
-                    },
+                // The build always lands in the urn's own directory, under
+                // the caller's memory budget if it set one. The budget
+                // stays out of BuildKey: budgeted and unbudgeted builds
+                // produce byte-identical tables.
+                let mem_budget = match cfg.storage {
+                    StorageKind::Block { mem_budget, .. } => mem_budget,
+                    StorageKind::Memory => DEFAULT_BUILD_MEM_BYTES,
+                };
+                cfg.storage = StorageKind::Block {
+                    dir: dir_for_build.clone(),
+                    mem_budget,
                 };
                 cfg.threads = build_threads;
                 // Build-phase spans and the encode histogram land in the

@@ -54,6 +54,12 @@ use std::path::{Path, PathBuf};
 /// index costs 24 bytes per block, about 2% of the level.
 pub const BLOCK_TARGET_BYTES: usize = 1024;
 
+/// Memtable budget per level of a block build whose caller set none: the
+/// store's background build and `motivo count --disk`. The memtable then
+/// holds at most 1 MiB of the level under construction instead of all of
+/// it (DESIGN.md §1.5 has the measurement).
+pub const DEFAULT_BUILD_MEM_BYTES: usize = 1 << 20;
+
 /// Granularity of sequential I/O: the writer's buffer, and the minimum
 /// run of consecutive blocks one positioned read of a scan covers — so
 /// small blocks do not multiply syscalls.

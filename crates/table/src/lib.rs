@@ -19,12 +19,14 @@
 //! ([`RecordCodec`]): the fixed-width `Plain` layout above, and the
 //! paper's `Succinct` layout — varint key deltas plus varint counts with
 //! sparse cumulative anchors — which answers the same queries from a
-//! fraction of the bytes. [`storage`] provides the backends: in-memory,
-//! the on-disk "greedy flushing" layout where each completed record
-//! leaves RAM immediately (§3.1), and [`block`] — sorted immutable ~1 KiB
-//! blocks built through a byte-budgeted memtable with spill-and-merge
-//! ([`merge`]), bounding peak build memory for out-of-core builds, and
-//! read back through a read-only memory map (§3.3).
+//! fraction of the bytes. [`storage`] provides the two backends:
+//! in-memory, and [`block`], the one writer of level files. A block level
+//! takes each completed record out of the builder's hands at once (the
+//! "greedy flushing" of §3.1) into a byte-budgeted memtable that spills
+//! sorted runs and merges them ([`merge`]) into sorted immutable ~1 KiB
+//! blocks, bounding peak build memory for out-of-core builds; sealed
+//! levels are read back through a read-only memory map (§3.3).
+//! Directories written before block storage still open, read-only.
 //! [`alias`] implements Vose's alias method used to draw the root vertex
 //! in `O(1)` (§3.3).
 
@@ -37,12 +39,11 @@ pub mod record;
 pub mod storage;
 
 pub use alias::AliasTable;
-pub use block::{BlockLevel, BlockWriter, BLOCK_TARGET_BYTES};
+pub use block::{BlockLevel, BlockWriter, BLOCK_TARGET_BYTES, DEFAULT_BUILD_MEM_BYTES};
 pub use builder::RecordBuilder;
 pub use codec::RecordCodec;
 pub use merge::{MergeIter, RunReader, RunWriter};
 pub use record::Record;
 pub use storage::{
-    CountTable, DiskLevel, LevelProfile, LevelScan, LevelStore, MemoryLevel, RecordHandle,
-    StorageKind,
+    CountTable, LevelProfile, LevelScan, LevelStore, MemoryLevel, RecordHandle, StorageKind,
 };

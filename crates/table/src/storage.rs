@@ -5,13 +5,16 @@
 //! completion it is stored on disk in the compact form … The hash table is
 //! then emptied and memory released", so the table never fully resides in
 //! main memory; lower levels are later read back through memory-mapped I/O
-//! (§3.3). [`crate::block`] does exactly that: a sealed `BlockLevel` maps
-//! its data region and serves point reads in place. The older
-//! [`DiskLevel`] keeps a per-vertex `(offset, len)` index and serves reads
-//! with positioned `pread`-style calls — same architecture (records leave
-//! RAM at completion, reads go to the file). The paper's second sort pass
-//! exists to make keys seekable; the explicit index achieves the same and
-//! is noted as a substitution in DESIGN.md.
+//! (§3.3). There are two backends: [`MemoryLevel`], and [`crate::block`],
+//! the only writer of level files. A block level's byte-budgeted memtable
+//! spills sorted runs and merges them into the sealed file — the paper's
+//! external sort pass — and a sealed level maps its data region and
+//! serves point reads in place.
+//!
+//! `CountTable::open_dir` still reads the v1/v2 directory layout (one
+//! `level-<h>.mtvt` data file plus a per-vertex `(offset, len)` index per
+//! level, DESIGN.md §1.2) through a private read-only reader; saving such
+//! a table rewrites it as block files.
 //!
 //! Every level and the assembled [`CountTable`] carry the [`RecordCodec`]
 //! their records are sealed under; `byte_size` reports the true encoded
@@ -132,7 +135,7 @@ impl LevelStore for MemoryLevel {
             return Ok(());
         }
         // Re-seal a record arriving under the wrong codec, mirroring
-        // DiskLevel: otherwise the level's byte accounting (and the
+        // BlockLevel: otherwise the level's byte accounting (and the
         // table's advertised codec) would silently disagree with its
         // contents. The common same-codec case passes through untouched.
         let rec = if rec.codec() == self.codec {
@@ -174,109 +177,52 @@ impl LevelStore for MemoryLevel {
     }
 }
 
-/// Disk level: records appended to a file at completion (greedy flushing),
-/// indexed by vertex for positioned reads. The level remembers the codec
-/// its records were encoded under; reads decode with it.
-pub struct DiskLevel {
+/// Read-only view of one v1/v2 level (DESIGN.md §1.2): a data file of
+/// concatenated encoded records plus a per-vertex `(offset, len)` index
+/// in `<path>.idx`. Kept so `CountTable::open_dir` can open directories
+/// written before block storage; nothing writes this layout any more, and
+/// `save_dir` migrates it.
+struct DiskLevel {
     file: File,
     path: PathBuf,
     codec: RecordCodec,
     /// `(offset, len)` per vertex; `len == 0` means no record.
     index: Vec<(u64, u32)>,
-    write_offset: u64,
+    payload_bytes: u64,
     count: usize,
 }
 
 impl DiskLevel {
-    /// Creates the backing file at `path` for `n` vertices whose records
-    /// are encoded under `codec`.
-    pub fn create<P: AsRef<Path>>(path: P, n: u32, codec: RecordCodec) -> io::Result<DiskLevel> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(DiskLevel {
-            file,
-            path,
-            codec,
-            index: vec![(0, 0); n as usize],
-            write_offset: 0,
-            count: 0,
-        })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Codec the level's records are encoded under.
-    pub fn codec(&self) -> RecordCodec {
-        self.codec
-    }
-
-    /// Persists the per-vertex index next to the data file (`<path>.idx`)
-    /// so the level can be reopened later: magic `MTVI`, version,
-    /// `n: u64`, then `n × (offset: u64, len: u32)`.
-    pub fn persist_index(&self) -> io::Result<()> {
-        use bytes::BufMut;
-        let mut buf = Vec::with_capacity(16 + self.index.len() * 12);
-        buf.put_slice(b"MTVI");
-        buf.put_u32_le(1);
-        buf.put_u64_le(self.index.len() as u64);
-        for &(off, len) in &self.index {
-            buf.put_u64_le(off);
-            buf.put_u32_le(len);
-        }
-        std::fs::write(self.index_path(), buf)
-    }
-
-    /// Reopens a level persisted by [`DiskLevel::persist_index`], decoding
-    /// records under `codec` (recorded in the table's `table.meta`).
-    pub fn open<P: AsRef<Path>>(path: P, codec: RecordCodec) -> io::Result<DiskLevel> {
+    /// Opens the level at `path` (and its index at `<path>.idx`),
+    /// decoding records under `codec` (recorded in the table's
+    /// `table.meta`).
+    fn open(path: PathBuf, codec: RecordCodec) -> io::Result<DiskLevel> {
         use bytes::Buf;
-        let path = path.as_ref().to_path_buf();
-        let file = File::options().read(true).write(true).open(&path)?;
-        let idx_path = path.with_extension(
-            path.extension()
-                .map(|e| format!("{}.idx", e.to_string_lossy()))
-                .unwrap_or_else(|| "idx".into()),
-        );
-        let raw = std::fs::read(&idx_path)?;
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+        let file = File::open(&path)?;
+        let raw = std::fs::read(legacy_index_path(&path))?;
         let mut buf = &raw[..];
         if buf.remaining() < 16 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated index",
-            ));
+            return Err(bad("truncated index"));
         }
         let mut magic = [0u8; 4];
         buf.copy_to_slice(&mut magic);
         if &magic != b"MTVI" || buf.get_u32_le() != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad index header",
-            ));
+            return Err(bad("bad index header"));
         }
         let n = buf.get_u64_le() as usize;
-        if buf.remaining() != n * 12 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index length mismatch",
-            ));
+        if n.checked_mul(12) != Some(buf.remaining()) {
+            return Err(bad("index length mismatch"));
         }
         let mut index = Vec::with_capacity(n);
         let mut count = 0;
-        let mut write_offset = 0u64;
+        let mut payload_bytes = 0u64;
         for _ in 0..n {
             let off = buf.get_u64_le();
             let len = buf.get_u32_le();
             if len > 0 {
                 count += 1;
-                write_offset = write_offset.max(off + len as u64);
+                payload_bytes = payload_bytes.max(off + len as u64);
             }
             index.push((off, len));
         }
@@ -285,47 +231,25 @@ impl DiskLevel {
             path,
             codec,
             index,
-            write_offset,
+            payload_bytes,
             count,
         })
     }
+}
 
-    fn index_path(&self) -> std::path::PathBuf {
-        self.path.with_extension(
-            self.path
-                .extension()
-                .map(|e| format!("{}.idx", e.to_string_lossy()))
-                .unwrap_or_else(|| "idx".into()),
-        )
-    }
+/// Index file of a v1/v2 level: the data file's name plus `.idx`.
+fn legacy_index_path(data: &Path) -> PathBuf {
+    let mut os = data.as_os_str().to_owned();
+    os.push(".idx");
+    PathBuf::from(os)
 }
 
 impl LevelStore for DiskLevel {
-    fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
-        if rec.is_empty() {
-            return Ok(());
-        }
-        // Re-seal a record that arrives under the wrong codec: writing its
-        // bytes as-is would only surface as InvalidData at some later read,
-        // far from the faulty put. The common same-codec case passes
-        // through untouched.
-        let rec = if rec.codec() == self.codec {
-            rec
-        } else {
-            rec.recode(self.codec)
-        };
-        let mut buf = Vec::with_capacity(rec.encoded_len());
-        rec.encode(&mut buf);
-        // Positioned write at the tracked offset, not the file cursor: a
-        // failed partial write then leaves offset and index untouched, so
-        // a caller that survives the error (the API is fallible now) can
-        // keep appending without desyncing the index.
-        use std::os::unix::fs::FileExt;
-        self.file.write_all_at(&buf, self.write_offset)?;
-        self.index[v as usize] = (self.write_offset, buf.len() as u32);
-        self.write_offset += buf.len() as u64;
-        self.count += 1;
-        Ok(())
+    fn put(&mut self, _v: u32, _rec: Record) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "put on a read-only legacy level",
+        ))
     }
 
     fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
@@ -346,7 +270,7 @@ impl LevelStore for DiskLevel {
     }
 
     fn byte_size(&self) -> usize {
-        self.write_offset as usize
+        self.payload_bytes as usize
     }
 
     fn record_count(&self) -> usize {
@@ -371,14 +295,10 @@ impl LevelStore for DiskLevel {
 pub enum StorageKind {
     /// Everything in RAM.
     Memory,
-    /// Greedy flushing into `dir/level-<h>.mtvt`.
-    Disk {
-        /// Directory for the level files (created if missing).
-        dir: PathBuf,
-    },
     /// Sorted-block levels in `dir/level-<h>.mtvb`, built through a
     /// byte-budgeted memtable with spill-and-merge (DESIGN.md §1.5), so
-    /// peak build memory is bounded regardless of graph size.
+    /// peak build memory is bounded regardless of graph size. The only
+    /// on-disk backend.
     Block {
         /// Directory for the block files (created if missing).
         dir: PathBuf,
@@ -398,14 +318,6 @@ impl StorageKind {
     ) -> io::Result<Box<dyn LevelStore>> {
         match self {
             StorageKind::Memory => Ok(Box::new(MemoryLevel::new(n, codec))),
-            StorageKind::Disk { dir } => {
-                std::fs::create_dir_all(dir)?;
-                Ok(Box::new(DiskLevel::create(
-                    dir.join(format!("level-{h}.mtvt")),
-                    n,
-                    codec,
-                )?))
-            }
             StorageKind::Block { dir, mem_budget } => {
                 std::fs::create_dir_all(dir)?;
                 Ok(Box::new(crate::block::BlockLevel::create(
@@ -677,29 +589,30 @@ mod tests {
         assert!(lvl.get(1).unwrap().is_empty());
     }
 
-    #[test]
-    fn disk_level_matches_memory() {
-        for codec in RecordCodec::ALL {
-            let dir = std::env::temp_dir().join(format!("motivo-table-test-disk-{codec}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let mut disk = DiskLevel::create(dir.join("lvl.mtvt"), 20, codec).unwrap();
-            let mut mem = MemoryLevel::new(20, codec);
-            for v in [0u32, 5, 19, 7] {
-                disk.put(v, record_in(codec, v as u64)).unwrap();
-                mem.put(v, record_in(codec, v as u64)).unwrap();
-            }
-            for v in 0..20 {
-                let (d, m) = (disk.get(v).unwrap(), mem.get(v).unwrap());
-                assert_eq!(d.total(), m.total(), "vertex {v}");
-                assert_eq!(d.len(), m.len());
-                let dp: Vec<_> = d.iter().collect();
-                let mp: Vec<_> = m.iter().collect();
-                assert_eq!(dp, mp);
-            }
-            assert_eq!(disk.record_count(), 4);
-            assert!(disk.byte_size() > 0);
-            std::fs::remove_dir_all(&dir).ok();
+    /// Writes one v1/v2 level pair (`<path>` + `<path>.idx`, DESIGN.md
+    /// §1.2) as the greedy-flushing writer of those versions did: records
+    /// appended in put order, then the per-vertex `(offset, len)` index.
+    /// Returns the data file's length.
+    fn write_legacy_level(path: &Path, n: u32, records: &[(u32, Record)]) -> usize {
+        use bytes::BufMut;
+        let mut data = Vec::new();
+        let mut index = vec![(0u64, 0u32); n as usize];
+        for (v, rec) in records {
+            let off = data.len();
+            rec.encode(&mut data);
+            index[*v as usize] = (off as u64, (data.len() - off) as u32);
         }
+        let mut idx = Vec::new();
+        idx.put_slice(b"MTVI");
+        idx.put_u32_le(1);
+        idx.put_u64_le(n as u64);
+        for (off, len) in index {
+            idx.put_u64_le(off);
+            idx.put_u32_le(len);
+        }
+        std::fs::write(path, &data).unwrap();
+        std::fs::write(legacy_index_path(path), idx).unwrap();
+        data.len()
     }
 
     #[test]
@@ -763,10 +676,8 @@ mod tests {
         let dir = std::env::temp_dir().join("motivo-table-test-v1meta");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        // Write the old layout by hand: a DiskLevel pair plus a v1 meta.
-        let mut l1 = DiskLevel::create(dir.join("level-1.mtvt"), 4, RecordCodec::Plain).unwrap();
-        l1.put(2, record(6)).unwrap();
-        l1.persist_index().unwrap();
+        // The old layout: one legacy level pair plus a v1 meta.
+        write_legacy_level(&dir.join("level-1.mtvt"), 4, &[(2, record(6))]);
         let mut meta = Vec::new();
         meta.put_slice(b"MTVT");
         meta.put_u32_le(1);
@@ -783,8 +694,10 @@ mod tests {
     }
 
     /// A v2 directory (per-level `.mtvt` + `.idx` pairs, codec byte in the
-    /// meta) still opens under the v3 reader, and re-saving it migrates
-    /// the directory to block files, removing the stale v2 pair.
+    /// meta) still opens under the v3 reader and serves exactly what an
+    /// in-memory level holds; the reader refuses writes; and re-saving the
+    /// table migrates the directory to block files, removing the stale v2
+    /// pair.
     #[test]
     fn v2_dir_opens_and_resave_migrates_to_v3() {
         use bytes::BufMut;
@@ -792,38 +705,52 @@ mod tests {
             let dir = std::env::temp_dir().join(format!("motivo-table-test-v2meta-{codec}"));
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).unwrap();
-            let mut l1 = DiskLevel::create(dir.join("level-1.mtvt"), 6, codec).unwrap();
-            for v in [1u32, 4] {
-                l1.put(v, record_in(codec, v as u64)).unwrap();
+            // Out-of-order puts, as a parallel build flushed them.
+            let puts: Vec<(u32, Record)> = [0u32, 5, 19, 7]
+                .into_iter()
+                .map(|v| (v, record_in(codec, v as u64)))
+                .collect();
+            let data_len = write_legacy_level(&dir.join("level-1.mtvt"), 20, &puts);
+            let mut mem = MemoryLevel::new(20, codec);
+            for (v, rec) in &puts {
+                mem.put(*v, rec.clone()).unwrap();
             }
-            l1.persist_index().unwrap();
             let mut meta = Vec::new();
             meta.put_slice(b"MTVT");
             meta.put_u32_le(2);
             meta.put_u32_le(1); // k
-            meta.put_u32_le(6); // n
+            meta.put_u32_le(20); // n
             meta.put_u8(codec.tag());
             std::fs::write(dir.join("table.meta"), meta).unwrap();
 
+            let matches_memory = |table: &CountTable| {
+                assert_eq!(table.codec(), codec);
+                assert_eq!(table.record_count(), 4);
+                for v in 0..20 {
+                    let (d, m) = (table.get(1, v).unwrap(), mem.get(v).unwrap());
+                    assert_eq!(d.total(), m.total(), "{codec}: vertex {v}");
+                    assert_eq!(d.iter().collect::<Vec<_>>(), m.iter().collect::<Vec<_>>());
+                }
+                let ids: Vec<u32> = table
+                    .level(1)
+                    .scan()
+                    .map(|r| r.map(|(v, _)| v))
+                    .collect::<io::Result<_>>()
+                    .unwrap();
+                assert_eq!(ids, vec![0, 5, 7, 19], "{codec}: scan is ascending");
+            };
             let back = CountTable::open_dir(&dir).unwrap();
-            assert_eq!(back.codec(), codec);
-            assert_eq!(back.record_count(), 2);
-            assert_eq!(
-                back.get(1, 4).unwrap().iter().collect::<Vec<_>>(),
-                record_in(codec, 4).iter().collect::<Vec<_>>()
-            );
+            matches_memory(&back);
+            assert_eq!(back.byte_size(), data_len);
+            let mut reader = DiskLevel::open(dir.join("level-1.mtvt"), codec).unwrap();
+            assert!(reader.put(3, record_in(codec, 3)).is_err(), "read-only");
 
             // Re-save: the directory converts to the v3 block layout.
             back.save_dir(&dir).unwrap();
             assert!(dir.join("level-1.mtvb").exists());
             assert!(!dir.join("level-1.mtvt").exists());
             assert!(!dir.join("level-1.mtvt.idx").exists());
-            let v3 = CountTable::open_dir(&dir).unwrap();
-            assert_eq!(v3.record_count(), 2);
-            assert_eq!(
-                v3.get(1, 1).unwrap().iter().collect::<Vec<_>>(),
-                record_in(codec, 1).iter().collect::<Vec<_>>()
-            );
+            matches_memory(&CountTable::open_dir(&dir).unwrap());
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -856,9 +783,8 @@ mod tests {
         let dir = std::env::temp_dir().join("motivo-table-test-badidx");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let mut lvl = DiskLevel::create(dir.join("l.mtvt"), 4, RecordCodec::Plain).unwrap();
-        lvl.put(1, record(3)).unwrap();
-        lvl.persist_index().unwrap();
+        write_legacy_level(&dir.join("l.mtvt"), 4, &[(1, record(3))]);
+        assert!(DiskLevel::open(dir.join("l.mtvt"), RecordCodec::Plain).is_ok());
         // Truncate the index.
         let idx = dir.join("l.mtvt.idx");
         let data = std::fs::read(&idx).unwrap();
@@ -876,30 +802,14 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).unwrap();
             let data_path = dir.join("l.mtvt");
-            {
-                let mut lvl = DiskLevel::create(&data_path, 4, codec).unwrap();
-                lvl.put(1, record_in(codec, 3)).unwrap();
-                lvl.persist_index().unwrap();
-            }
+            write_legacy_level(&data_path, 4, &[(1, record_in(codec, 3))]);
             // Truncate the data file after the level was persisted.
             let data = std::fs::read(&data_path).unwrap();
             std::fs::write(&data_path, &data[..data.len() - 1]).unwrap();
-            let lvl = DiskLevel::open(&data_path, codec).unwrap();
+            let lvl = DiskLevel::open(data_path, codec).unwrap();
             assert!(lvl.get(1).is_err(), "truncated record must error");
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn disk_storage_kind_creates_files() {
-        let dir = std::env::temp_dir().join("motivo-table-test-kind");
-        std::fs::remove_dir_all(&dir).ok();
-        let kind = StorageKind::Disk { dir: dir.clone() };
-        let mut lvl = kind.create_level(3, 4, RecordCodec::Succinct).unwrap();
-        lvl.put(2, record_in(RecordCodec::Succinct, 8)).unwrap();
-        assert!(dir.join("level-3.mtvt").exists());
-        assert_eq!(lvl.get(2).unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The succinct codec's table-level footprint is a large fraction

@@ -1,6 +1,9 @@
-//! Greedy flushing + urn persistence: build a count table that never fully
-//! resides in RAM, persist it, and reopen it in (simulated) another
-//! process — the §3.1/§3.3 external-memory workflow.
+//! Out-of-core build + urn persistence: build a count table that never
+//! fully resides in RAM, persist it, and reopen it in (simulated) another
+//! process — the §3.1/§3.3 external-memory workflow. Each level is built
+//! through a memtable capped at a byte budget: when the budget fills, the
+//! memtable is sorted and spilled to a run file, and sealing the level
+//! merges the runs into one sorted block file.
 //!
 //! ```sh
 //! cargo run --release --example external_memory
@@ -14,19 +17,25 @@ fn main() {
     let dir = std::env::temp_dir().join("motivo-example-external");
     std::fs::remove_dir_all(&dir).ok();
 
-    // Build with greedy flushing: each completed record goes straight to
-    // disk; only one vertex's hash accumulator lives in RAM per worker.
-    let cfg = BuildConfig::new(k)
-        .seed(5)
-        .storage(StorageKind::Disk { dir: dir.clone() });
+    // Build block levels in `dir` under a 256 KiB memtable budget per
+    // level: completed records leave the builder at once, and a level
+    // holds at most the budget in RAM before spilling a sorted run.
+    let budget = 256 << 10;
+    let cfg = BuildConfig::new(k).seed(5).build_mem_bytes(&dir, budget);
     let urn = build_urn(&graph, &cfg).expect("build");
     let st = urn.build_stats();
     println!(
-        "disk build: {:?}, {} records, {:.1} MiB on disk across {} levels",
+        "block build: {:?}, {} records, {:.1} MiB on disk across {} levels",
         st.total,
         st.records,
         st.table_bytes as f64 / (1 << 20) as f64,
         k
+    );
+    println!(
+        "memtable budget {} KiB: {} spill runs, peak memtable {:.1} KiB",
+        budget >> 10,
+        st.spill_runs,
+        st.peak_mem_bytes as f64 / 1024.0
     );
     for entry in std::fs::read_dir(&dir).unwrap() {
         let e = entry.unwrap();
@@ -37,7 +46,7 @@ fn main() {
         );
     }
 
-    // Persist the full urn (adds the coloring + metadata + level indexes).
+    // Persist the full urn (adds the coloring and the metadata).
     motivo::core::save_urn(&urn, &dir).expect("persist");
     drop(urn);
 

@@ -311,30 +311,26 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
         build = build.biased(lambda);
     }
     let mut scratch: Option<std::path::PathBuf> = None;
-    match (o.get::<usize>("build-mem-bytes")?, o.flags.get("disk")) {
-        (Some(bytes), disk) => {
-            // Budgeted builds always go through the block backend; spill
-            // runs land next to the final level files.
-            let dir = match disk {
-                Some(d) => std::path::PathBuf::from(d),
-                None => {
-                    let d =
-                        std::env::temp_dir().join(format!("motivo-count-{}", std::process::id()));
-                    scratch = Some(d.clone());
-                    d
-                }
-            };
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            build = build.storage(motivo::table::storage::StorageKind::Block {
-                dir,
-                mem_budget: bytes,
-            });
-        }
-        (None, Some(dir)) => {
-            build = build.storage(motivo::table::storage::StorageKind::Disk { dir: dir.into() });
-        }
-        (None, None) => {}
+    let budget = o.get::<usize>("build-mem-bytes")?;
+    let disk = o.flags.get("disk");
+    if budget.is_some() || disk.is_some() {
+        // On-disk builds go through the block backend; spill runs land
+        // next to the final level files, in a scratch directory unless
+        // `--disk` names one.
+        let dir = match disk {
+            Some(d) => std::path::PathBuf::from(d),
+            None => {
+                let d = std::env::temp_dir().join(format!("motivo-count-{}", std::process::id()));
+                scratch = Some(d.clone());
+                d
+            }
+        };
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        build = build.build_mem_bytes(
+            dir,
+            budget.unwrap_or(motivo::table::DEFAULT_BUILD_MEM_BYTES),
+        );
     }
     build = build.codec(parse_codec(&o)?);
     let estimator = if o.has("ags") {

@@ -105,6 +105,37 @@ fn count_reports_ensemble_estimates() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `count --disk DIR` builds each run in a directory of its own, so at
+/// the default thread count, where runs build concurrently, it prints the
+/// in-memory estimates and leaves nothing behind in `DIR`.
+#[test]
+fn count_disk_matches_memory_at_default_threads() {
+    let dir = workdir("count-disk");
+    let g = dir.join("g.mtvg");
+    run(motivo()
+        .args([
+            "generate", "--model", "ba", "--nodes", "1000", "--param", "3", "--seed", "7",
+        ])
+        .arg("--out")
+        .arg(&g));
+    let args = ["-k", "4", "--runs", "6", "--samples", "5000", "--seed", "1"];
+    let mem = run(motivo().arg("count").arg(&g).args(args));
+    let levels = dir.join("levels");
+    let disk = run(motivo()
+        .arg("count")
+        .arg(&g)
+        .args(args)
+        .arg("--disk")
+        .arg(&levels));
+    // The first line reports wall-clock times.
+    let estimates = |out: &str| out.lines().skip(1).collect::<Vec<_>>().join("\n");
+    assert_eq!(estimates(&mem), estimates(&disk));
+    assert!(estimates(&disk).contains("estimated total 4-graphlet copies"));
+    let left: Vec<_> = std::fs::read_dir(&levels).unwrap().collect();
+    assert!(left.is_empty(), "run directories left behind: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn build_then_sample_from_persisted_urn() {
     let dir = workdir("persist");

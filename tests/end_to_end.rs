@@ -143,9 +143,7 @@ fn disk_backed_pipeline_matches_memory() {
     let dir = std::env::temp_dir().join("motivo-e2e-disk");
     std::fs::remove_dir_all(&dir).ok();
     let mem_cfg = BuildConfig::new(4).seed(3);
-    let disk_cfg = BuildConfig::new(4)
-        .seed(3)
-        .storage(StorageKind::Disk { dir: dir.clone() });
+    let disk_cfg = BuildConfig::new(4).seed(3).build_mem_bytes(&dir, 0);
     let urn_mem = build_urn(&graph, &mem_cfg).unwrap();
     let urn_disk = build_urn(&graph, &disk_cfg).unwrap();
     assert_eq!(urn_mem.total_treelets(), urn_disk.total_treelets());

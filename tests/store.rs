@@ -131,7 +131,11 @@ fn journal_truncated_mid_entry_recovers_and_rebuilds() {
     }
     let partial_dir = dir.join("urns").join(crashed.dir_name());
     std::fs::create_dir_all(&partial_dir).unwrap();
-    std::fs::write(partial_dir.join("level-2.mtvt"), b"half-written garbage").unwrap();
+    std::fs::write(
+        partial_dir.join("level-2.mtvb.run0"),
+        b"half-written garbage",
+    )
+    .unwrap();
     // A frame interrupted mid-append: only 13 of its bytes hit the disk.
     motivo::store::testing::torn_journal_append(
         &dir.join("journal.log"),
