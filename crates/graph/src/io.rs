@@ -18,25 +18,24 @@ const VERSION: u32 = 1;
 /// endpoints are ignored, so SNAP-style weighted/timestamped lists load
 /// cleanly. Vertices are the ids appearing in the file; `n` is one plus
 /// the maximum id.
+///
+/// A malformed line is reported by its 1-based number, never by its
+/// text: the server loads files a client names, and an error that
+/// quoted the line would hand the client the file's contents.
 pub fn read_edge_list<R: Read>(reader: R) -> io::Result<Graph> {
     let reader = BufReader::new(reader);
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut max_id = 0u32;
-    for line in reader.lines() {
+    for (i, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             continue;
         }
-        let mut it = line.split_whitespace();
-        let a: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad_data(format!("bad line: {line:?}")))?;
-        let b: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad_data(format!("bad line: {line:?}")))?;
+        let mut ids = line.split_whitespace().map(|s| s.parse::<u32>().ok());
+        let (Some(Some(a)), Some(Some(b))) = (ids.next(), ids.next()) else {
+            return Err(bad_data(format!("line {} is not a `u v` edge", i + 1)));
+        };
         max_id = max_id.max(a).max(b);
         edges.push((a, b));
     }
@@ -189,6 +188,17 @@ mod tests {
         assert!(read_edge_list("# a\n% b\n".as_bytes()).is_err());
         // Negative ids are not silently wrapped.
         assert!(read_edge_list("-1 2\n".as_bytes()).is_err());
+    }
+
+    /// The error names the line by number and never quotes it: a server
+    /// loading a client-named file must not echo the file back.
+    #[test]
+    fn edge_list_errors_name_the_line_not_its_text() {
+        let err = read_edge_list("# header\n0 1\nSECRET-TOKEN-42 is here\n".as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 3"), "{err}");
+        assert!(!err.contains("SECRET"), "{err}");
     }
 
     /// Real-world edge lists mix separators and annotations: tab-separated

@@ -15,10 +15,9 @@
 //!   `record(ns)` is two-three relaxed `fetch_add`s, buckets cover
 //!   1µs..137s with ≤ 12.5% relative quantile error, histograms merge
 //!   associatively, and snapshots are wait-free reads.
-//! - [`span`](Registry::span) guards — scoped timers that on drop push a
-//!   structured event into a bounded ring buffer (drainable as JSON
-//!   lines) *and* feed a `span.<label>` histogram, so instrumenting a
-//!   phase yields both a trace and a latency distribution.
+//! - [`span`](Registry::span) guards — scoped timers that on drop feed a
+//!   `span.<label>` histogram, so instrumenting a phase yields its
+//!   latency distribution.
 //!
 //! [`Obs`] is the optional-handle wrapper config structs embed: a
 //! disabled `Obs` makes every instrumentation site a no-op, which keeps
@@ -36,4 +35,4 @@ pub mod span;
 pub use fs::atomic_write;
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, Obs, Registry};
-pub use span::{SpanEvent, SpanGuard, SpanRing, DEFAULT_SPAN_CAPACITY};
+pub use span::SpanGuard;

@@ -1,6 +1,6 @@
-//! The metric registry: named counters, gauges, and histograms plus the
-//! span ring, with deterministic plaintext (Prometheus-style) and JSON
-//! renderings.
+//! The metric registry: named counters, gauges, and histograms (span
+//! timings among them), with deterministic plaintext (Prometheus-style)
+//! and JSON renderings.
 //!
 //! There is deliberately no global singleton. A [`Registry`] is owned by
 //! whoever needs one (a store, a server, a test) and handed around as an
@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::span::{SpanGuard, SpanRing, DEFAULT_SPAN_CAPACITY};
+use crate::span::SpanGuard;
 
 /// A monotonically increasing counter. Cloning shares the cell.
 #[derive(Clone, Debug, Default)]
@@ -85,14 +85,12 @@ impl Gauge {
     }
 }
 
-/// A named collection of metrics plus the span ring (module docs have the
-/// ownership model).
+/// A named collection of metrics (module docs have the ownership model).
 pub struct Registry {
     start: Instant,
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    spans: SpanRing,
 }
 
 impl Default for Registry {
@@ -102,19 +100,13 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry with the default span-ring capacity.
+    /// An empty registry.
     pub fn new() -> Registry {
-        Registry::with_span_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// An empty registry keeping at most `capacity` span events.
-    pub fn with_span_capacity(capacity: usize) -> Registry {
         Registry {
             start: Instant::now(),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
-            spans: SpanRing::new(capacity),
         }
     }
 
@@ -166,18 +158,9 @@ impl Registry {
     }
 
     /// Starts a span for `label`. When the returned guard drops, the
-    /// elapsed time is recorded into the `span.<label>` histogram and an
-    /// event is pushed into the ring buffer.
+    /// elapsed time is recorded into the `span.<label>` histogram.
     pub fn span(&self, label: impl Into<String>) -> SpanGuard {
-        let label = label.into();
-        let hist = self.histogram(&format!("span.{label}"));
-        let start_us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        SpanGuard::new(self.spans.clone(), hist, label, start_us)
-    }
-
-    /// The span ring (drain it for JSON-lines traces).
-    pub fn spans(&self) -> &SpanRing {
-        &self.spans
+        SpanGuard::new(self.histogram(&format!("span.{}", label.into())))
     }
 
     /// Current counter values, sorted by name.
@@ -266,11 +249,7 @@ impl Registry {
                 fmt_f64(ns_to_us(s.max))
             )
         });
-        out.push_str(&format!(
-            "}},\"spans_buffered\":{},\"spans_dropped\":{}}}",
-            self.spans.len(),
-            self.spans.dropped()
-        ));
+        out.push_str("}}");
         out
     }
 }
@@ -326,7 +305,7 @@ fn metric_name(name: &str) -> String {
 }
 
 /// Escapes a string for embedding inside JSON double quotes.
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -435,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_both_ring_and_histogram() {
+    fn spans_feed_their_histogram() {
         let reg = Registry::new();
         {
             let _g = reg.span("build.level2");
@@ -443,11 +422,6 @@ mod tests {
         {
             let _g = reg.span("build.level2");
         }
-        let events = reg.spans().drain();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.label == "build.level2"));
-        assert_eq!(events[0].seq, 0);
-        assert_eq!(events[1].seq, 1);
         assert_eq!(reg.histogram("span.build.level2").count(), 2);
     }
 
@@ -485,7 +459,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"c\\\"quoted\\\"\":1"));
         assert!(json.contains("\"histograms\":{\"h\":{\"count\":1,"));
-        assert!(json.contains("\"spans_dropped\":0"));
     }
 
     #[test]

@@ -1,145 +1,23 @@
-//! Lightweight span tracing: scoped guards that time a phase and, on
-//! drop, push one structured event into a bounded ring buffer.
-//!
-//! The ring keeps the most recent `capacity` events; older events are
-//! dropped (and counted) rather than blocking or growing without bound,
-//! so tracing can stay on in production. Events drain as JSON lines —
-//! one self-contained object per line — which pipes straight into any
-//! line-oriented tool.
+//! Span timing: scoped guards that time a phase and, on drop, record the
+//! elapsed time into the phase's `span.<label>` histogram, so every
+//! snapshot and `Metrics` answer carries its latency distribution.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hist::Histogram;
 
-/// Default ring capacity (events kept before the oldest are dropped).
-pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
-
-/// One completed span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Monotone sequence number (gaps reveal dropped events).
-    pub seq: u64,
-    /// The phase label passed to `span(..)`.
-    pub label: String,
-    /// Span start, µs since the owning registry was created.
-    pub start_us: u64,
-    /// Span duration, µs.
-    pub dur_us: u64,
-}
-
-impl SpanEvent {
-    /// Renders the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"label\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            self.seq,
-            crate::registry::json_escape(&self.label),
-            self.start_us,
-            self.dur_us
-        )
-    }
-}
-
-struct Ring {
-    buf: VecDeque<SpanEvent>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-}
-
-/// A bounded, shared ring of completed [`SpanEvent`]s.
-#[derive(Clone)]
-pub struct SpanRing {
-    inner: Arc<Mutex<Ring>>,
-}
-
-impl SpanRing {
-    /// A ring keeping at most `capacity` events.
-    pub fn new(capacity: usize) -> SpanRing {
-        SpanRing {
-            inner: Arc::new(Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity.min(1024)),
-                capacity: capacity.max(1),
-                next_seq: 0,
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// Appends one event, evicting the oldest if the ring is full.
-    pub fn push(&self, label: String, start_us: u64, dur_us: u64) {
-        let mut ring = self.inner.lock().unwrap();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() == ring.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(SpanEvent {
-            seq,
-            label,
-            start_us,
-            dur_us,
-        });
-    }
-
-    /// Removes and returns every buffered event, oldest first.
-    pub fn drain(&self) -> Vec<SpanEvent> {
-        self.inner.lock().unwrap().buf.drain(..).collect()
-    }
-
-    /// Buffered event count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().buf.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-
-    /// Drains the ring and renders it as JSON lines (one event per line,
-    /// trailing newline after each).
-    pub fn drain_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.drain() {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// A scoped timer for one phase: created by [`crate::Registry::span`],
-/// it records into the ring *and* into the
-/// phase's `span.<label>` histogram when dropped.
+/// it records into the phase's `span.<label>` histogram when dropped.
 pub struct SpanGuard {
-    ring: SpanRing,
     hist: Arc<Histogram>,
-    label: String,
-    start_us: u64,
     started: Instant,
 }
 
 impl SpanGuard {
-    pub(crate) fn new(
-        ring: SpanRing,
-        hist: Arc<Histogram>,
-        label: String,
-        start_us: u64,
-    ) -> SpanGuard {
+    pub(crate) fn new(hist: Arc<Histogram>) -> SpanGuard {
         SpanGuard {
-            ring,
             hist,
-            label,
-            start_us,
             started: Instant::now(),
         }
     }
@@ -149,43 +27,5 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.hist.record(ns);
-        self.ring
-            .push(std::mem::take(&mut self.label), self.start_us, ns / 1000);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ring_keeps_most_recent_and_counts_drops() {
-        let ring = SpanRing::new(3);
-        for i in 0..5u64 {
-            ring.push(format!("ev{i}"), i, 1);
-        }
-        assert_eq!(ring.dropped(), 2);
-        let events = ring.drain();
-        assert_eq!(
-            events.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        assert_eq!(events[0].label, "ev2");
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn jsonl_rendering_is_one_object_per_line() {
-        let ring = SpanRing::new(8);
-        ring.push("build.level2".to_string(), 10, 250);
-        ring.push("with \"quotes\"".to_string(), 20, 1);
-        let text = ring.drain_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"seq\":0,\"label\":\"build.level2\",\"start_us\":10,\"dur_us\":250}"
-        );
-        assert!(lines[1].contains("with \\\"quotes\\\""));
     }
 }

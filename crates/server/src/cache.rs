@@ -49,22 +49,24 @@ pub enum Served {
     Coalesced,
 }
 
-/// Aggregate cache counters — a consistent-enough snapshot of live
-/// atomics, plus the residency read under the LRU lock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryCacheStats {
-    /// Requests replayed from the LRU.
-    pub hits: u64,
-    /// Requests that led a flight and ran the estimator.
-    pub misses: u64,
-    /// Requests that joined an in-flight leader instead of recomputing.
-    pub coalesced: u64,
-    /// Entries dropped to respect the byte budget.
-    pub evictions: u64,
-    /// Bytes resident right now (keys + payloads + per-entry overhead).
-    pub resident_bytes: u64,
-    /// Entries resident right now.
-    pub resident_entries: u64,
+wire_replies! {
+    /// Aggregate cache counters — a consistent-enough snapshot of live
+    /// atomics, plus the residency read under the LRU lock.
+    #[derive(Copy, Default, Eq)]
+    pub struct QueryCacheStats {
+        /// Requests replayed from the LRU.
+        pub hits: u64,
+        /// Requests that led a flight and ran the estimator.
+        pub misses: u64,
+        /// Requests that joined an in-flight leader instead of recomputing.
+        pub coalesced: u64,
+        /// Entries dropped to respect the byte budget.
+        pub evictions: u64,
+        /// Bytes resident right now (keys + payloads + per-entry overhead).
+        pub resident_bytes: u64,
+        /// Entries resident right now.
+        pub resident_entries: u64,
+    }
 }
 
 struct Entry {

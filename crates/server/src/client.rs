@@ -14,10 +14,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::proto::{
-    self, AgsReply, BuildReply, EstimatesReply, HelloReply, PromoteReply, ReplFetchReply,
-    ReplFileReply, ReplManifestReply, ReplTarget, Request, Response, TallyReply, UrnsReply,
-    FEATURES, PROTO_VERSION,
+    self, AgsReply, BuildReply, ErrorBody, EstimatesReply, HelloReply, PromoteReply,
+    ReplFetchReply, ReplFileReply, ReplManifestReply, ReplTarget, Request, Response, TallyReply,
+    UrnsReply, FEATURES, PROTO_VERSION,
 };
+use crate::wire::Wire;
 use motivo_store::{FileMeta, UrnId};
 
 /// Client-side failures: transport errors, or a server `error` envelope.
@@ -57,12 +58,14 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A response payload that decoded into an unexpected [`Response`]
-/// variant — impossible unless `Response::parse`'s kind table is wrong.
-fn variant_mismatch(kind: &str) -> ClientError {
-    ClientError::BadResponse(format!(
-        "response decoded into the wrong variant for `{kind}`"
-    ))
+/// Sends a typed request and unwraps the reply of its kind.
+macro_rules! call {
+    ($client:expr, $kind:ident $($body:tt)?) => {
+        match $client.send(&Request::$kind $($body)?)? {
+            Response::$kind(reply) => Ok(reply),
+            _ => unreachable!("Response::parse decodes a kind's payload into its own variant"),
+        }
+    };
 }
 
 /// A connected client.
@@ -94,32 +97,26 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.send(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            _ => Err(variant_mismatch("Ping")),
-        }
+        call!(self, Ping).map(drop)
     }
 
     /// Version/capability handshake: announces this client's protocol
     /// version and features, returns what the server speaks. Servers
     /// answer it inline, so it works even against a saturated pool.
     pub fn hello(&mut self) -> Result<HelloReply, ClientError> {
-        let req = Request::Hello {
-            proto_version: PROTO_VERSION,
-            features: FEATURES.iter().map(|f| f.to_string()).collect(),
-        };
-        match self.send(&req)? {
-            Response::Hello(h) => Ok(h),
-            _ => Err(variant_mismatch("Hello")),
-        }
+        let features = FEATURES.iter().map(|f| f.to_string()).collect();
+        call!(
+            self,
+            Hello {
+                proto_version: PROTO_VERSION,
+                features,
+            }
+        )
     }
 
     /// Lists every urn the server's manifest knows.
     pub fn list_urns(&mut self) -> Result<UrnsReply, ClientError> {
-        match self.send(&Request::ListUrns)? {
-            Response::Urns(u) => Ok(u),
-            _ => Err(variant_mismatch("ListUrns")),
-        }
+        call!(self, ListUrns)
     }
 
     /// Seeded naive estimates against a built urn (server-side thread
@@ -131,16 +128,15 @@ impl Client {
         samples: u64,
         seed: u64,
     ) -> Result<EstimatesReply, ClientError> {
-        let req = Request::NaiveEstimates {
-            urn,
-            samples,
-            seed,
-            threads: 0,
-        };
-        match self.send(&req)? {
-            Response::Estimates(e) => Ok(e),
-            _ => Err(variant_mismatch("NaiveEstimates")),
-        }
+        call!(
+            self,
+            NaiveEstimates {
+                urn,
+                samples,
+                seed,
+                threads: 0,
+            }
+        )
     }
 
     /// Adaptive graphlet sampling with the server-side default knobs
@@ -152,19 +148,18 @@ impl Client {
         max_samples: u64,
         seed: u64,
     ) -> Result<AgsReply, ClientError> {
-        let req = Request::Ags {
-            urn,
-            max_samples,
-            c_bar: None,
-            epoch: None,
-            idle_limit: None,
-            seed,
-            threads: 0,
-        };
-        match self.send(&req)? {
-            Response::Ags(a) => Ok(a),
-            _ => Err(variant_mismatch("Ags")),
-        }
+        call!(
+            self,
+            Ags {
+                urn,
+                max_samples,
+                seed,
+                threads: 0,
+                c_bar: None,
+                epoch: None,
+                idle_limit: None,
+            }
+        )
     }
 
     /// A raw canonical-code tally of sampled graphlet copies.
@@ -174,33 +169,26 @@ impl Client {
         samples: u64,
         seed: u64,
     ) -> Result<TallyReply, ClientError> {
-        let req = Request::Sample {
-            urn,
-            samples,
-            seed,
-            threads: 0,
-        };
-        match self.send(&req)? {
-            Response::Tally(t) => Ok(t),
-            _ => Err(variant_mismatch("Sample")),
-        }
+        call!(
+            self,
+            Sample {
+                urn,
+                samples,
+                seed,
+                threads: 0,
+            }
+        )
     }
 
     /// Serving counters (raw payload — a diagnostic document, not a
     /// frozen schema).
     pub fn stats(&mut self, urn: Option<UrnId>) -> Result<Value, ClientError> {
-        match self.send(&Request::Stats { urn })? {
-            Response::Stats(v) => Ok(v),
-            _ => Err(variant_mismatch("Stats")),
-        }
+        call!(self, Stats { urn })
     }
 
     /// The server's metrics registry (raw payload, same reasoning).
     pub fn metrics(&mut self) -> Result<Value, ClientError> {
-        match self.send(&Request::Metrics)? {
-            Response::Metrics(v) => Ok(v),
-            _ => Err(variant_mismatch("Metrics")),
-        }
+        call!(self, Metrics)
     }
 
     /// Enqueues a build of `graph` (a path readable by the *server*) and
@@ -212,42 +200,32 @@ impl Client {
         seed: u64,
         wait: bool,
     ) -> Result<BuildReply, ClientError> {
-        let req = Request::Build {
-            graph: graph.into(),
-            k,
-            seed,
-            lambda: None,
-            codec: Default::default(),
-            wait,
-        };
-        match self.send(&req)? {
-            Response::Build(b) => Ok(b),
-            _ => Err(variant_mismatch("Build")),
-        }
+        call!(
+            self,
+            Build {
+                graph: graph.into(),
+                k,
+                seed,
+                codec: Default::default(),
+                wait,
+                lambda: None,
+            }
+        )
     }
 
     /// Asks the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.send(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            _ => Err(variant_mismatch("Shutdown")),
-        }
+        call!(self, Shutdown).map(drop)
     }
 
     /// Replication health (raw payload).
     pub fn repl_status(&mut self) -> Result<Value, ClientError> {
-        match self.send(&Request::ReplStatus)? {
-            Response::ReplStatus(v) => Ok(v),
-            _ => Err(variant_mismatch("ReplStatus")),
-        }
+        call!(self, ReplStatus)
     }
 
     /// Turns a replica into a leader.
     pub fn promote(&mut self) -> Result<PromoteReply, ClientError> {
-        match self.send(&Request::Promote)? {
-            Response::Promote(p) => Ok(p),
-            _ => Err(variant_mismatch("Promote")),
-        }
+        call!(self, Promote)
     }
 
     /// Pulls journal frames from a leader (the replica sync path).
@@ -258,24 +236,20 @@ impl Client {
         prefix_crc: u32,
         log_id: u32,
     ) -> Result<ReplFetchReply, ClientError> {
-        let req = Request::ReplFetch {
-            replica: replica.into(),
-            offset,
-            prefix_crc,
-            log_id,
-        };
-        match self.send(&req)? {
-            Response::ReplFetch(r) => Ok(r),
-            _ => Err(variant_mismatch("ReplFetch")),
-        }
+        call!(
+            self,
+            ReplFetch {
+                replica: replica.into(),
+                offset,
+                prefix_crc,
+                log_id,
+            }
+        )
     }
 
     /// Fetches the leader's manifest snapshot bytes.
     pub fn repl_manifest(&mut self) -> Result<ReplManifestReply, ClientError> {
-        match self.send(&Request::ReplManifest)? {
-            Response::ReplManifest(m) => Ok(m),
-            _ => Err(variant_mismatch("ReplManifest")),
-        }
+        call!(self, ReplManifest)
     }
 
     /// Fetches the leader's file inventory for one urn or graph.
@@ -284,10 +258,7 @@ impl Client {
         target: ReplTarget,
         replica: Option<String>,
     ) -> Result<Vec<FileMeta>, ClientError> {
-        match self.send(&Request::ReplFiles { target, replica })? {
-            Response::ReplFiles(f) => Ok(f),
-            _ => Err(variant_mismatch("ReplFiles")),
-        }
+        call!(self, ReplFiles { target, replica }).map(|r| r.files)
     }
 
     /// Fetches one chunk of a sealed urn or graph file.
@@ -298,16 +269,15 @@ impl Client {
         offset: u64,
         replica: Option<String>,
     ) -> Result<ReplFileReply, ClientError> {
-        let req = Request::ReplFile {
-            target,
-            name: name.into(),
-            offset,
-            replica,
-        };
-        match self.send(&req)? {
-            Response::ReplFile(f) => Ok(f),
-            _ => Err(variant_mismatch("ReplFile")),
-        }
+        call!(
+            self,
+            ReplFile {
+                name: name.into(),
+                offset,
+                target,
+                replica,
+            }
+        )
     }
 
     // -- raw escape hatches -------------------------------------------------
@@ -340,17 +310,9 @@ impl Client {
         if let Some(ok) = envelope.get("ok") {
             return Ok(ok);
         }
-        match envelope.get("error") {
-            Some(err) => Err(ClientError::Server {
-                kind: err
-                    .get("kind")
-                    .and_then(|k| k.as_str().map(str::to_string))
-                    .unwrap_or_else(|| "Unknown".into()),
-                message: err
-                    .get("message")
-                    .and_then(|m| m.as_str().map(str::to_string))
-                    .unwrap_or_default(),
-            }),
+        let error = ErrorBody::read(&envelope, "error").map_err(ClientError::BadResponse)?;
+        match error {
+            Some(ErrorBody { kind, message }) => Err(ClientError::Server { kind, message }),
             None => Err(ClientError::BadResponse(
                 "envelope has neither `ok` nor `error`".into(),
             )),

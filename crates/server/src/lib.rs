@@ -7,7 +7,8 @@
 //! thread-safe query layer; this crate puts a network front on them:
 //!
 //! - **Wire protocol** ([`proto`]): length-prefixed JSON frames, typed on
-//!   both ends as [`Request`]/[`Response`]. A `Hello` handshake announces
+//!   both ends as [`Request`]/[`Response`], both generated from one
+//!   declarative schema of every message. A `Hello` handshake announces
 //!   protocol version, supported request kinds, and pipelining limits;
 //!   responses carry `ok` payloads or structured errors, matched to
 //!   pipelined requests by an echoed `id`. A `Batch` carries a list of
@@ -75,6 +76,9 @@
 //! println!("served {} requests", report.requests);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#[macro_use]
+mod wire;
 
 pub mod cache;
 pub mod client;

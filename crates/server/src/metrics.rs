@@ -18,33 +18,15 @@
 //! `Invalid`, so the counter set stays closed: every frame lands in
 //! exactly one `server.requests.*` counter.
 
+use crate::proto::Request;
+use crate::wire::Wire;
 use motivo_obs::{Counter, Histogram, Registry};
 use serde_json::{json, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The closed set of kind labels: every wire request type, plus
-/// `Invalid` for frames that never parsed into a request.
-pub const KINDS: [&str; 18] = [
-    "Ags",
-    "Batch",
-    "Build",
-    "Hello",
-    "Invalid",
-    "ListUrns",
-    "Metrics",
-    "NaiveEstimates",
-    "Ping",
-    "Promote",
-    "ReplFetch",
-    "ReplFile",
-    "ReplFiles",
-    "ReplManifest",
-    "ReplStatus",
-    "Sample",
-    "Shutdown",
-    "Stats",
-];
+/// The pseudo-kind of frames that never parsed into a request.
+pub const INVALID: &str = "Invalid";
 
 /// The handles of one kind's three metrics.
 pub struct KindMetrics {
@@ -57,30 +39,38 @@ pub struct KindMetrics {
 /// never takes the registry's write lock.
 pub struct ServerMetrics {
     registry: Arc<Registry>,
+    /// Every kind label — the request kinds plus [`INVALID`] — ascending,
+    /// for binary search; `kinds[i]` holds the handles of `names[i]`.
+    names: Vec<&'static str>,
     kinds: Vec<KindMetrics>,
     pub queue_wait: Arc<Histogram>,
     pub service: Arc<Histogram>,
 }
 
-/// One kind's counters and latency quantiles, as reported in
-/// [`crate::ServeReport`] and `server-stats.json` (microsecond units;
-/// quantiles are log-bucket histogram estimates, `max_us` exact).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KindStats {
-    pub kind: String,
-    pub count: u64,
-    pub errors: u64,
-    pub p50_us: u64,
-    pub p90_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
+wire_replies! {
+    /// One kind's counters and latency quantiles, as reported in
+    /// [`crate::ServeReport`] and `server-stats.json` (microsecond units;
+    /// quantiles are log-bucket histogram estimates, `max_us` exact).
+    #[derive(Default, Eq)]
+    pub struct KindStats {
+        pub kind: String,
+        pub count: u64,
+        pub errors: u64,
+        pub p50_us: u64,
+        pub p90_us: u64,
+        pub p99_us: u64,
+        pub max_us: u64,
+    }
 }
 
 impl ServerMetrics {
     /// Registers the full metric set in `registry` (idempotent: the
     /// registry hands back existing handles on name collision).
     pub fn new(registry: Arc<Registry>) -> ServerMetrics {
-        let kinds = KINDS
+        let mut names = Request::KINDS.to_vec();
+        names.push(INVALID);
+        names.sort_unstable();
+        let kinds = names
             .iter()
             .map(|kind| KindMetrics {
                 requests: registry.counter(&format!("server.requests.{kind}")),
@@ -92,6 +82,7 @@ impl ServerMetrics {
         let service = registry.histogram("server.service");
         ServerMetrics {
             registry,
+            names,
             kinds,
             queue_wait,
             service,
@@ -103,9 +94,10 @@ impl ServerMetrics {
         &self.registry
     }
 
-    /// The handles for `kind` (which must be one of [`KINDS`]).
+    /// The handles for `kind` (a [`Request::KINDS`] entry or [`INVALID`]).
     pub fn kind(&self, kind: &str) -> &KindMetrics {
-        let i = KINDS
+        let i = self
+            .names
             .binary_search(&kind)
             .unwrap_or_else(|_| panic!("unknown request kind `{kind}`"));
         &self.kinds[i]
@@ -134,7 +126,7 @@ impl ServerMetrics {
     /// Per-kind counters and quantiles, ascending by kind name, omitting
     /// kinds that never saw a request.
     pub fn kind_stats(&self) -> Vec<KindStats> {
-        KINDS
+        self.names
             .iter()
             .zip(&self.kinds)
             .filter(|(_, m)| m.requests.get() > 0)
@@ -157,7 +149,7 @@ impl ServerMetrics {
     /// service-time split, uptime, and the full Prometheus-style text
     /// rendering of the registry (what `motivo stats --raw` prints).
     pub fn metrics_json(&self) -> Value {
-        let kinds: Vec<Value> = self.kind_stats().iter().map(kind_stats_json).collect();
+        let kinds: Vec<Value> = self.kind_stats().iter().map(Wire::encode).collect();
         json!({
             "uptime_secs": self.registry.uptime_secs(),
             "kinds": kinds,
@@ -166,19 +158,6 @@ impl ServerMetrics {
             "text": self.registry.render_prometheus(),
         })
     }
-}
-
-/// Serializes one per-kind row.
-pub fn kind_stats_json(s: &KindStats) -> Value {
-    json!({
-        "kind": s.kind,
-        "count": s.count,
-        "errors": s.errors,
-        "p50_us": s.p50_us,
-        "p90_us": s.p90_us,
-        "p99_us": s.p99_us,
-        "max_us": s.max_us,
-    })
 }
 
 fn histogram_json(h: &Histogram) -> Value {
@@ -198,12 +177,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_are_sorted_for_binary_search() {
-        let mut sorted = KINDS;
-        sorted.sort_unstable();
-        assert_eq!(sorted, KINDS);
+    fn every_kind_label_resolves() {
         let m = ServerMetrics::new(Arc::new(Registry::new()));
-        for kind in KINDS {
+        for kind in Request::KINDS.iter().chain([&INVALID]) {
             assert_eq!(m.kind(kind).requests.get(), 0); // resolves without panicking
         }
     }

@@ -6,8 +6,6 @@
 //! Chunk sizes are bounded by [`motivo_store::FILE_CHUNK_BYTES`] (1 MiB
 //! raw, 2 MiB encoded), comfortably under the 8 MiB frame cap.
 
-use serde_json::Value;
-
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Encodes bytes as lowercase hex.
@@ -51,28 +49,9 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Pulls a required `u64` out of a leader response payload.
-pub fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(|f| f.as_u64())
-        .ok_or_else(|| format!("leader response missing `{key}`"))
-}
-
-/// Pulls a required hex-encoded byte field out of a leader response.
-pub fn field_bytes(v: &Value, key: &str) -> Result<Vec<u8>, String> {
-    let f = v
-        .get(key)
-        .ok_or_else(|| format!("leader response missing `{key}`"))?;
-    let s = f
-        .as_str()
-        .ok_or_else(|| format!("leader response missing `{key}`"))?;
-    hex_decode(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     #[test]
     fn hex_roundtrips() {
@@ -90,14 +69,5 @@ mod tests {
         assert!(hex_decode("abc").unwrap_err().contains("odd length"));
         assert!(hex_decode("zz").unwrap_err().contains("invalid hex"));
         assert!(hex_decode("0 ").unwrap_err().contains("invalid hex"));
-    }
-
-    #[test]
-    fn response_field_extraction() {
-        let v = json!({"offset": 42, "data": "00ff"});
-        assert_eq!(field_u64(&v, "offset").unwrap(), 42);
-        assert_eq!(field_bytes(&v, "data").unwrap(), vec![0x00, 0xff]);
-        assert!(field_u64(&v, "missing").unwrap_err().contains("missing"));
-        assert!(field_bytes(&v, "offset").unwrap_err().contains("missing"));
     }
 }

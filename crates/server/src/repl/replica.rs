@@ -36,7 +36,6 @@ use crate::repl::backoff::Backoff;
 use crate::repl::ReplShared;
 use motivo_core::checksum::crc32;
 use motivo_store::{BuildStatus, FileMeta, ManifestRecord, StoreError, UrnId, UrnStore};
-use serde_json::{json, Value};
 use std::time::Duration;
 
 /// How a replica server reaches its leader.
@@ -50,45 +49,32 @@ pub struct SyncOptions {
     pub poll: Duration,
 }
 
-/// The sync session's self-reported state, served by `ReplStatus` on the
-/// replica.
-#[derive(Clone, Debug, Default)]
-pub struct SyncStatus {
-    /// A session to the leader is currently up.
-    pub connected: bool,
-    /// The last fetch found nothing left to pull.
-    pub caught_up: bool,
-    /// Local durable journal offset after the last apply.
-    pub offset: u64,
-    /// The leader's journal length at the last fetch.
-    pub leader_len: u64,
-    /// Snapshot installs (1 for a clean start; +1 per gc re-bootstrap).
-    pub bootstraps: u64,
-    /// `ReplFetch` round-trips made.
-    pub fetches: u64,
-    /// Files actually downloaded (heals that found everything present
-    /// don't move this — the no-refetch invariant, observable here).
-    pub files_fetched: u64,
-    /// Journal records applied locally.
-    pub records_applied: u64,
-    /// The most recent session-ending error, kept after reconnect until
-    /// a session succeeds.
-    pub last_error: Option<String>,
-}
-
-/// Serializes the status for `ReplStatus`.
-pub fn sync_status_json(s: &SyncStatus) -> Value {
-    json!({
-        "connected": s.connected,
-        "caught_up": s.caught_up,
-        "offset": s.offset,
-        "leader_len": s.leader_len,
-        "bootstraps": s.bootstraps,
-        "fetches": s.fetches,
-        "files_fetched": s.files_fetched,
-        "records_applied": s.records_applied,
-        "last_error": s.last_error,
-    })
+wire_replies! {
+    /// The sync session's self-reported state, served by `ReplStatus` on the
+    /// replica.
+    #[derive(Default)]
+    pub struct SyncStatus {
+        /// A session to the leader is currently up.
+        pub connected: bool,
+        /// The last fetch found nothing left to pull.
+        pub caught_up: bool,
+        /// Local durable journal offset after the last apply.
+        pub offset: u64,
+        /// The leader's journal length at the last fetch.
+        pub leader_len: u64,
+        /// Snapshot installs (1 for a clean start; +1 per gc re-bootstrap).
+        pub bootstraps: u64,
+        /// `ReplFetch` round-trips made.
+        pub fetches: u64,
+        /// Files actually downloaded (heals that found everything present
+        /// don't move this — the no-refetch invariant, observable here).
+        pub files_fetched: u64,
+        /// Journal records applied locally.
+        pub records_applied: u64,
+        /// The most recent session-ending error, kept after reconnect until
+        /// a session succeeds.
+        pub last_error: Option<String>,
+    }
 }
 
 fn estore(e: StoreError) -> String {

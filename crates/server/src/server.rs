@@ -47,11 +47,17 @@
 //! delay until the next, so tailing the leader shares the pool and the
 //! reactor with query serving.
 //!
+//! **Handlers** answer with the typed reply structs of the
+//! [`crate::proto`] schema and encode them with the schema's code — the
+//! same code the client decodes with. A request's `threads` is clamped
+//! to the machine's cores before it reaches a sampler; sample counts were
+//! already capped when the request parsed.
+//!
 //! **Determinism:** request handlers build a fresh [`GraphletRegistry`]
 //! per request and never put run-dependent values in payloads, so a seeded
 //! request's payload is byte-identical to the equivalent in-process
-//! [`StoreQuery`] call at any pool size (the PR 2 seed-splitting guarantee
-//! carried across the wire).
+//! [`StoreQuery`] call at any pool size (the seed-splitting guarantee of
+//! DESIGN.md §5 carried across the wire).
 //!
 //! **Serving throughput:** workers answer through an `Engine` that puts
 //! a [`QueryCache`] in front of the estimators — an exact result cache
@@ -65,7 +71,7 @@ use motivo_core::{AgsConfig, BuildConfig, SampleConfig};
 use motivo_graph::io as graph_io;
 use motivo_graphlet::GraphletRegistry;
 use motivo_obs::Obs;
-use motivo_store::{BuildStatus, StoreError, StoreQuery, UrnStore};
+use motivo_store::{BuildStatus, FileMeta, StoreError, StoreQuery, UrnStore};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::io;
@@ -78,10 +84,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::cache::{QueryCache, QueryCacheStats};
-use crate::metrics::{KindStats, ServerMetrics};
-use crate::proto::{self, ErrorKind, ReplTarget, Request};
+use crate::metrics::{KindStats, ServerMetrics, INVALID};
+use crate::proto::{
+    self, AgsReply, BuildReply, ErrorKind, EstimatesReply, Pong, PromoteReply, ReplFetchReply,
+    ReplFileReply, ReplFilesReply, ReplManifestReply, ReplTarget, Request, ShuttingDown,
+    TallyReply, UrnRow, UrnsReply,
+};
 use crate::reactor::{self, drain_readable, FrameReader, Interest, Poller, WriteBuf};
-use crate::repl::{self, protocol::hex_encode, replica::SyncDriver, ReplShared};
+use crate::repl::{self, replica::SyncDriver, ReplShared};
+use crate::wire::Wire;
 
 /// Retry delay when a timer job finds the worker queue full, and the
 /// backoff after a failed accept.
@@ -464,13 +475,7 @@ fn serve_loop(
         Some(leader) => ReplShared::replica(leader.clone(), store.obs().clone()),
         None => ReplShared::leader(store.obs().clone()),
     };
-    let engine = Engine {
-        query: StoreQuery::new(&store),
-        store: &store,
-        cache: QueryCache::new(opts.cache_bytes),
-        metrics: &metrics,
-        repl: &repl,
-    };
+    let engine = Engine::new(&store, opts.cache_bytes, &metrics, &repl);
     let mut tallies = Tallies::default();
     let handback = Handback {
         done: Mutex::new(Vec::new()),
@@ -528,29 +533,16 @@ fn serve_loop(
         driver.lock().expect("sync driver poisoned").finish();
     }
 
-    // Every worker has exited; flush serving stats.
-    let per_urn: Vec<Value> = engine
-        .query
-        .per_urn_stats()
-        .iter()
-        .map(|(id, st)| json!({"id": id.to_string(), "stats": proto::query_stats_json(st)}))
-        .collect();
+    // Every worker has exited; flush serving stats: the aggregate `Stats`
+    // answer plus the serve loop's own tallies.
     let query_cache = engine.cache.stats();
     let per_kind = metrics.kind_stats();
-    let per_kind_json: Vec<Value> = per_kind
-        .iter()
-        .map(crate::metrics::kind_stats_json)
-        .collect();
-    let body = json!({
-        "requests": tallies.requests,
-        "busy_rejections": tallies.busy,
-        "connections": tallies.connections,
-        "total": proto::query_stats_json(&engine.query.total_stats()),
-        "per_urn": per_urn,
-        "per_kind": per_kind_json,
-        "cache": proto::cache_stats_json(&store.cache_stats()),
-        "query_cache": proto::query_cache_stats_json(&query_cache),
-    });
+    let per_kind_json: Vec<Value> = per_kind.iter().map(Wire::encode).collect();
+    let mut body = engine.stats_json();
+    body.set("requests", json!(tallies.requests));
+    body.set("busy_rejections", json!(tallies.busy));
+    body.set("connections", json!(tallies.connections));
+    body.set("per_kind", json!(per_kind_json));
     let text = serde_json::to_string_pretty(&body).expect("stats serialize");
     let stats_path = match store.flush_stats(text.as_bytes()) {
         Ok(path) => Some(path),
@@ -914,26 +906,21 @@ fn handle_frame(
     tallies: &mut Tallies,
     outstanding: &mut u64,
 ) {
-    let doc = match std::str::from_utf8(payload)
+    let parsed = std::str::from_utf8(payload)
         .map_err(|_| "frame is not UTF-8".to_string())
         .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
-    {
-        Ok(doc) => doc,
-        Err(msg) => {
-            let invalid = metrics.kind("Invalid");
-            invalid.requests.inc();
-            invalid.errors.inc();
-            return push_response(
-                conn,
-                &proto::error_response(&json!(null), ErrorKind::BadRequest, &msg),
-            );
-        }
-    };
-    let id = doc.get("id").unwrap_or(json!(null));
-    let req = match Request::parse(&doc) {
-        Ok(req) => req,
-        Err(msg) => {
-            let invalid = metrics.kind("Invalid");
+        .map_err(|msg| (json!(null), msg))
+        .and_then(|doc| {
+            let id = proto::request_id(&doc);
+            match Request::parse(&doc) {
+                Ok(req) => Ok((id, req)),
+                Err(msg) => Err((id, msg)),
+            }
+        });
+    let (id, req) = match parsed {
+        Ok(parsed) => parsed,
+        Err((id, msg)) => {
+            let invalid = metrics.kind(INVALID);
             invalid.requests.inc();
             invalid.errors.inc();
             return push_response(
@@ -949,7 +936,7 @@ fn handle_frame(
         // Answered inline: must work even with a saturated queue.
         Request::Ping => {
             let t0 = Instant::now();
-            push_response(conn, &proto::ok_response(&id, json!({"pong": true})));
+            push_response(conn, &proto::ok_response(&id, Pong { pong: true }.encode()));
             metrics.record_inline(kind, t0.elapsed());
         }
         // The handshake is inline for the same reason: a client probing
@@ -975,10 +962,10 @@ fn handle_frame(
                     ),
                 );
             } else {
-                push_response(
-                    conn,
-                    &proto::ok_response(&id, json!({"shutting_down": true})),
-                );
+                let ack = ShuttingDown {
+                    shutting_down: true,
+                };
+                push_response(conn, &proto::ok_response(&id, ack.encode()));
                 signal.trigger();
             }
             metrics.record_inline(kind, t0.elapsed());
@@ -1165,9 +1152,37 @@ struct Engine<'s> {
     cache: QueryCache,
     metrics: &'s ServerMetrics,
     repl: &'s ReplShared,
+    /// The machine's cores: the ceiling on a request's `threads`.
+    cores: usize,
 }
 
-impl Engine<'_> {
+impl<'s> Engine<'s> {
+    fn new(
+        store: &'s UrnStore,
+        cache_bytes: u64,
+        metrics: &'s ServerMetrics,
+        repl: &'s ReplShared,
+    ) -> Engine<'s> {
+        Engine {
+            query: StoreQuery::new(store),
+            store,
+            cache: QueryCache::new(cache_bytes),
+            metrics,
+            repl,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// The sampling config of one request. Wire `threads` is clamped to
+    /// the machine's cores: seeded results are identical at any thread
+    /// count, so the clamp changes only wall-clock, and no frame can ask
+    /// for thousands of OS threads. `0` (all cores) passes through.
+    fn sample_config(&self, seed: u64, threads: usize) -> SampleConfig {
+        SampleConfig::seeded(seed)
+            .threads(threads.min(self.cores))
+            .with_obs(Obs::enabled(self.store.obs().clone()))
+    }
+
     /// Answers one queued request, returning the full response envelope
     /// as wire-ready text plus whether it carries an error (what the
     /// worker feeds `server.errors.<kind>`; a batch envelope itself is
@@ -1175,7 +1190,7 @@ impl Engine<'_> {
     fn answer(&self, id: &Value, req: &Request) -> (String, bool) {
         let id_text = serde_json::to_string(id).expect("id serialize");
         match req {
-            Request::Batch(subs) => {
+            Request::Batch { requests: subs } => {
                 // One frame, one worker slot, N sub-responses in request
                 // order — each with its own ok/error envelope. Assembly
                 // is budgeted: a payload the client's own frame cap would
@@ -1187,10 +1202,7 @@ impl Engine<'_> {
                 );
                 (proto::ok_envelope_text(&id_text, &payload), false)
             }
-            req => match self.answer_single(req) {
-                Ok(payload) => (proto::ok_envelope_text(&id_text, &payload), false),
-                Err((kind, msg)) => (proto::error_envelope_text(&id_text, kind, &msg), true),
-            },
+            req => self.answer_single(&id_text, req),
         }
     }
 
@@ -1198,24 +1210,23 @@ impl Engine<'_> {
     /// disallowed types become this sub-request's error envelope (its own
     /// `id` echoed), leaving its siblings untouched.
     fn answer_sub(&self, doc: &Value) -> String {
-        let sub_id = doc.get("id").unwrap_or(json!(null));
-        let id_text = serde_json::to_string(&sub_id).expect("id serialize");
+        let id_text = serde_json::to_string(&proto::request_id(doc)).expect("id serialize");
         match Request::parse(doc) {
             Err(msg) => proto::error_envelope_text(&id_text, ErrorKind::BadRequest, &msg),
-            Ok(Request::Ping) => proto::ok_envelope_text(&id_text, r#"{"pong":true}"#),
-            Ok(Request::Hello { .. }) => proto::ok_envelope_text(
-                &id_text,
-                &serde_json::to_string(&proto::hello_payload()).expect("hello serialize"),
-            ),
-            Ok(Request::Shutdown) | Ok(Request::Batch(_)) => proto::error_envelope_text(
+            Ok(Request::Shutdown) | Ok(Request::Batch { .. }) => proto::error_envelope_text(
                 &id_text,
                 ErrorKind::BadRequest,
                 "this request type is not allowed inside a batch",
             ),
-            Ok(req) => match self.answer_single(&req) {
-                Ok(payload) => proto::ok_envelope_text(&id_text, &payload),
-                Err((kind, msg)) => proto::error_envelope_text(&id_text, kind, &msg),
-            },
+            Ok(req) => self.answer_single(&id_text, &req).0,
+        }
+    }
+
+    /// One request's envelope text and whether it carries an error.
+    fn answer_single(&self, id_text: &str, req: &Request) -> (String, bool) {
+        match self.payload(req) {
+            Ok(payload) => (proto::ok_envelope_text(id_text, &payload), false),
+            Err((kind, msg)) => (proto::error_envelope_text(id_text, kind, &msg), true),
         }
     }
 
@@ -1223,7 +1234,7 @@ impl Engine<'_> {
     /// the request is deterministic: an LRU hit replays the exact bytes,
     /// a concurrent duplicate coalesces onto the in-flight leader, and
     /// only a true miss runs the estimator.
-    fn answer_single(&self, req: &Request) -> Result<Arc<str>, (ErrorKind, String)> {
+    fn payload(&self, req: &Request) -> Result<Arc<str>, (ErrorKind, String)> {
         let key = req
             .cached_urn()
             .and_then(|urn| self.query.content_id(urn))
@@ -1241,74 +1252,76 @@ impl Engine<'_> {
             .map(|v| serde_json::to_string(&v).expect("payload serialize"))
     }
 
+    /// The aggregate serving counters: every urn's, the store's LRU, and
+    /// the result cache's.
+    fn stats_json(&self) -> Value {
+        let per_urn: Vec<Value> = self
+            .query
+            .per_urn_stats()
+            .iter()
+            .map(|(id, st)| proto::urn_stats_json(*id, st))
+            .collect();
+        json!({
+            "total": proto::query_stats_json(&self.query.total_stats()),
+            "per_urn": per_urn,
+            "cache": self.store.cache_stats().encode(),
+            "query_cache": self.cache.stats().encode(),
+        })
+    }
+
     /// Executes one request against the store and query layer.
     fn handle(&self, req: &Request) -> Result<Value, (ErrorKind, String)> {
         let (query, store) = (&self.query, self.store);
-        match req {
-            Request::Ping | Request::Hello { .. } | Request::Shutdown => {
-                unreachable!("handled inline by the reactor")
+        let registry = |urn| {
+            store
+                .meta(urn)
+                .map(|meta| GraphletRegistry::new(meta.key.k as u8))
+                .ok_or_else(|| store_err(StoreError::UnknownUrn(urn)))
+        };
+        Ok(match req {
+            // Answered inline by the reactor, but also allowed in a batch.
+            Request::Ping => Pong { pong: true }.encode(),
+            Request::Hello { .. } => proto::hello_payload(),
+            Request::Shutdown => unreachable!("handled inline, refused in a batch"),
+            Request::Batch { .. } => unreachable!("expanded by Engine::answer"),
+            Request::ListUrns => UrnsReply {
+                urns: store.list().iter().map(UrnRow::of).collect(),
+                graphs: store.graphs().len() as u64,
             }
-            Request::Batch(_) => unreachable!("expanded by Engine::answer"),
-            Request::ListUrns => {
-                let urns: Vec<Value> = store.list().iter().map(proto::urn_json).collect();
-                Ok(json!({"urns": urns, "graphs": store.graphs().len()}))
-            }
+            .encode(),
             Request::NaiveEstimates {
                 urn,
                 samples,
                 seed,
                 threads,
             } => {
-                let meta = store
-                    .meta(*urn)
-                    .ok_or_else(|| store_err(StoreError::UnknownUrn(*urn)))?;
-                let mut registry = GraphletRegistry::new(meta.key.k as u8);
+                let mut registry = registry(*urn)?;
+                let cfg = self.sample_config(*seed, *threads);
                 let est = query
-                    .naive_estimates(
-                        *urn,
-                        &mut registry,
-                        *samples,
-                        &SampleConfig::seeded(*seed)
-                            .threads(*threads)
-                            .with_obs(Obs::enabled(store.obs().clone())),
-                    )
+                    .naive_estimates(*urn, &mut registry, *samples, &cfg)
                     .map_err(store_err)?;
-                Ok(proto::estimates_json(&est, &registry))
+                EstimatesReply::of(&est, &registry).encode()
             }
             Request::Ags {
                 urn,
                 max_samples,
+                seed,
+                threads,
                 c_bar,
                 epoch,
                 idle_limit,
-                seed,
-                threads,
             } => {
-                let meta = store
-                    .meta(*urn)
-                    .ok_or_else(|| store_err(StoreError::UnknownUrn(*urn)))?;
-                let mut cfg = AgsConfig {
+                let mut registry = registry(*urn)?;
+                let defaults = AgsConfig::default();
+                let cfg = AgsConfig {
                     max_samples: *max_samples,
-                    sample: SampleConfig::seeded(*seed)
-                        .threads(*threads)
-                        .with_obs(Obs::enabled(store.obs().clone())),
-                    ..AgsConfig::default()
+                    c_bar: c_bar.unwrap_or(defaults.c_bar),
+                    epoch: epoch.unwrap_or(defaults.epoch),
+                    idle_limit: idle_limit.unwrap_or(defaults.idle_limit),
+                    sample: self.sample_config(*seed, *threads),
                 };
-                if let Some(c_bar) = c_bar {
-                    cfg.c_bar = *c_bar;
-                }
-                if let Some(epoch) = epoch {
-                    if *epoch == 0 {
-                        return Err((ErrorKind::BadRequest, "`epoch` must be positive".into()));
-                    }
-                    cfg.epoch = *epoch;
-                }
-                if let Some(idle_limit) = idle_limit {
-                    cfg.idle_limit = *idle_limit;
-                }
-                let mut registry = GraphletRegistry::new(meta.key.k as u8);
                 let res = query.ags(*urn, &mut registry, &cfg).map_err(store_err)?;
-                Ok(proto::ags_json(&res, &registry))
+                AgsReply::of(&res, &registry).encode()
             }
             Request::Sample {
                 urn,
@@ -1316,48 +1329,24 @@ impl Engine<'_> {
                 seed,
                 threads,
             } => {
+                let cfg = self.sample_config(*seed, *threads);
                 let tally = query
-                    .sample_tally(
-                        *urn,
-                        *samples,
-                        &SampleConfig::seeded(*seed)
-                            .threads(*threads)
-                            .with_obs(Obs::enabled(store.obs().clone())),
-                    )
+                    .sample_tally(*urn, *samples, &cfg)
                     .map_err(store_err)?;
-                Ok(proto::tally_json(&tally, *samples))
+                TallyReply::of(&tally, *samples).encode()
             }
             // Not deterministic (timings, uptime) — and correctly
             // uncacheable: `Request::cache_key` returns `None` for it.
-            Request::Metrics => Ok(self.metrics.metrics_json()),
-            Request::Stats { urn } => match urn {
-                Some(urn) => Ok(json!({
-                    "id": urn.to_string(),
-                    "stats": proto::query_stats_json(&query.stats(*urn)),
-                })),
-                None => {
-                    let per_urn: Vec<Value> = query
-                        .per_urn_stats()
-                        .iter()
-                        .map(|(id, st)| {
-                            json!({"id": id.to_string(), "stats": proto::query_stats_json(st)})
-                        })
-                        .collect();
-                    Ok(json!({
-                        "total": proto::query_stats_json(&query.total_stats()),
-                        "per_urn": per_urn,
-                        "cache": proto::cache_stats_json(&store.cache_stats()),
-                        "query_cache": proto::query_cache_stats_json(&self.cache.stats()),
-                    }))
-                }
-            },
+            Request::Metrics => self.metrics.metrics_json(),
+            Request::Stats { urn: Some(urn) } => proto::urn_stats_json(*urn, &query.stats(*urn)),
+            Request::Stats { urn: None } => self.stats_json(),
             Request::Build {
                 graph,
                 k,
                 seed,
-                lambda,
                 codec,
                 wait,
+                lambda,
             } => {
                 let loaded = if graph.ends_with(".mtvg") {
                     graph_io::load_binary(graph)
@@ -1383,7 +1372,11 @@ impl Engine<'_> {
                     Some(BuildStatus::Failed) => "failed",
                     _ => "pending",
                 };
-                Ok(json!({"urn": handle.id().to_string(), "status": status}))
+                BuildReply {
+                    urn: handle.id().to_string(),
+                    status: status.into(),
+                }
+                .encode()
             }
             Request::ReplFetch {
                 replica,
@@ -1400,27 +1393,21 @@ impl Engine<'_> {
                 self.repl
                     .registry
                     .on_fetch(replica, *offset, seg.leader_len);
-                let payloads: Vec<Value> = if stale {
-                    Vec::new()
-                } else {
-                    seg.payloads.iter().map(|p| json!(hex_encode(p))).collect()
-                };
-                Ok(json!({
-                    "payloads": payloads,
-                    "leader_len": seg.leader_len,
-                    "log_id": seg.log_id,
-                    "stale": stale,
-                }))
+                ReplFetchReply {
+                    payloads: if stale { Vec::new() } else { seg.payloads },
+                    leader_len: seg.leader_len,
+                    log_id: seg.log_id,
+                    stale,
+                }
+                .encode()
             }
-            Request::ReplManifest => {
-                let bytes = store.manifest_bytes().map_err(store_err)?;
-                Ok(json!({
-                    "manifest": hex_encode(&bytes),
-                    "log_id": store.log_id().map_err(store_err)?,
-                }))
+            Request::ReplManifest => ReplManifestReply {
+                manifest: store.manifest_bytes().map_err(store_err)?,
+                log_id: store.log_id().map_err(store_err)?,
             }
+            .encode(),
             Request::ReplFiles { target, replica: _ } => {
-                let files = match target {
+                let files: Vec<FileMeta> = match target {
                     ReplTarget::Urn(id) => store.urn_file_list(*id).map_err(store_err)?,
                     ReplTarget::Graph(fp) => store
                         .graph_file_meta(*fp)
@@ -1428,16 +1415,12 @@ impl Engine<'_> {
                         .into_iter()
                         .collect(),
                 };
-                let rows: Vec<Value> = files
-                    .iter()
-                    .map(|f| json!({"name": f.name, "len": f.len, "crc": f.crc}))
-                    .collect();
-                Ok(json!({"files": rows}))
+                ReplFilesReply { files }.encode()
             }
             Request::ReplFile {
-                target,
                 name,
                 offset,
+                target,
                 replica,
             } => {
                 let (data, total) = match target {
@@ -1449,18 +1432,18 @@ impl Engine<'_> {
                         .map_err(store_err)?,
                 };
                 self.repl.registry.on_file(replica.as_deref());
-                Ok(json!({"data": hex_encode(&data), "total": total}))
+                ReplFileReply { data, total }.encode()
             }
             Request::ReplStatus => {
                 let sync = self.repl.sync.lock().expect("sync status poisoned");
-                Ok(json!({
+                json!({
                     "role": if self.repl.is_replica() { "replica" } else { "leader" },
                     "offset": store.replication_offset(),
                     "log_id": store.log_id().map_err(store_err)?,
                     "leader": self.repl.leader,
                     "replicas": self.repl.registry.snapshot_json(),
-                    "sync": repl::replica::sync_status_json(&sync),
-                }))
+                    "sync": sync.encode(),
+                })
             }
             Request::Promote => {
                 if !self.repl.is_replica() {
@@ -1475,9 +1458,13 @@ impl Engine<'_> {
                 // promotion sees `ReadOnly`, not a half-promoted server.
                 self.repl.set_leader();
                 self.repl.stop_sync();
-                Ok(json!({"promoted": true, "swept": swept}))
+                PromoteReply {
+                    promoted: true,
+                    swept: swept as u64,
+                }
+                .encode()
             }
-        }
+        })
     }
 }
 
@@ -1543,6 +1530,26 @@ mod tests {
             "{} bytes",
             out.len()
         );
+    }
+
+    /// Wire `threads` is clamped to the machine before any sampler sees
+    /// it, and `0` (all cores) passes through. Only configs are built
+    /// here; no thread starts.
+    #[test]
+    fn wire_threads_are_clamped_to_the_cores() {
+        let dir = std::env::temp_dir().join("motivo-server-unit-threads");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = UrnStore::open(&dir).unwrap();
+        let metrics = ServerMetrics::new(store.obs().clone());
+        let repl = ReplShared::leader(store.obs().clone());
+        let engine = Engine::new(&store, 0, &metrics, &repl);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (wire, used) in [(65_536, cores), (usize::MAX, cores), (0, 0), (1, 1)] {
+            let cfg = engine.sample_config(7, wire);
+            assert_eq!((cfg.seed, cfg.threads), (7, used), "threads: {wire}");
+        }
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

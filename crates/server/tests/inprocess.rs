@@ -846,3 +846,69 @@ fn periodic_metrics_snapshots_are_written() {
         .ends_with(".tmp")));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Uncapped, one frame asking for `u64::MAX` samples aborts the whole
+/// process on a petabyte allocation. The schema caps sample counts, so it
+/// is a `BadRequest` naming the field, and the server keeps answering.
+#[test]
+fn oversized_sample_count_is_a_bad_request_not_an_abort() {
+    let dir = workdir("sample-cap");
+    let store = seeded_store(&dir);
+    let server = Server::bind(store, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (frame, field) in [
+        (
+            r#"{"type":"NaiveEstimates","urn":0,"samples":18446744073709551615}"#,
+            "`samples`",
+        ),
+        (
+            r#"{"type":"Sample","urn":0,"samples":18446744073709551615}"#,
+            "`samples`",
+        ),
+        (
+            r#"{"type":"Ags","urn":0,"max_samples":18446744073709551615,"epoch":18446744073709551615}"#,
+            "`max_samples`",
+        ),
+    ] {
+        let reply: serde_json::Value =
+            serde_json::from_str(&client.send_raw(frame).unwrap()).unwrap();
+        let err = reply
+            .get("error")
+            .unwrap_or_else(|| panic!("{frame}: {reply:?}"));
+        assert_eq!(err.get("kind").unwrap().as_str(), Some("BadRequest"));
+        let message = err.get("message").unwrap().as_str().unwrap().to_string();
+        assert!(message.contains(field), "{message}");
+        assert!(
+            message.contains(&proto::MAX_SAMPLES.to_string()),
+            "{message}"
+        );
+    }
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Build` on a file that is not an edge list fails with `BadRequest`
+/// naming the line — never quoting it, which would hand any client the
+/// first line of any file the server can read.
+#[test]
+fn build_errors_do_not_echo_the_graph_file() {
+    let dir = workdir("build-echo");
+    let secret = dir.join("secret.txt");
+    std::fs::write(&secret, "SECRET-TOKEN-42 is here\n").unwrap();
+    let store = Arc::new(UrnStore::open(dir.join("store")).unwrap());
+    let server = Server::bind(store, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.build(secret.to_str().unwrap(), 4, 0, true) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, "BadRequest");
+            assert!(!message.contains("SECRET"), "{message}");
+            assert!(message.contains("line 1"), "{message}");
+        }
+        other => panic!("expected a BadRequest, got {other:?}"),
+    }
+    client.shutdown().unwrap();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
