@@ -121,7 +121,7 @@ impl BuildConfig {
     }
 
     /// Selects the record codec (succinct encoding = the paper's
-    /// main-memory win; plain = the fixed-width v1 layout).
+    /// main-memory win; plain = the fixed-width layout).
     pub fn codec(mut self, codec: RecordCodec) -> BuildConfig {
         self.codec = codec;
         self

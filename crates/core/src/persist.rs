@@ -3,6 +3,8 @@
 //! phases (§3.1, §3.3). [`save_urn`]/[`load_urn`] let a built urn be reused
 //! across processes: the count table (one block file per level), the
 //! coloring it was built under, and the build metrics all round-trip.
+//! An `urn.meta` or `table.meta` of an older version is refused with an
+//! error naming the version; such an urn is rebuilt, not migrated.
 //!
 //! The host graph itself is *not* stored here — it has its own format
 //! (`motivo_graph::io`) and the caller passes it back at load time; a
@@ -19,8 +21,11 @@ use std::io;
 use std::path::Path;
 use std::time::Duration;
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// The only `urn.meta` version: written by [`save_urn`], read by [`load_urn`].
+const URN_META_VERSION: u32 = 3;
+
+fn bad(msg: &str) -> BuildError {
+    BuildError::Io(io::Error::new(io::ErrorKind::InvalidData, msg.to_string()))
 }
 
 /// A cheap order-sensitive fingerprint of the graph structure, stored with
@@ -46,9 +51,7 @@ pub fn save_urn(urn: &Urn<'_>, dir: impl AsRef<Path>) -> io::Result<()> {
     urn.table().save_dir(dir)?;
     urn.coloring()
         .save(std::fs::File::create(dir.join("coloring.mtvc"))?)?;
-    // Build stats + graph fingerprint, CRC-protected (v3; v2 lacked the
-    // out-of-core build history, v1 additionally had no checksum — both
-    // remain readable).
+    // Build stats + graph fingerprint, CRC-protected.
     let st = urn.build_stats();
     let mut payload = Vec::new();
     payload.put_u64_le(graph_fingerprint(urn.graph()));
@@ -64,7 +67,7 @@ pub fn save_urn(urn: &Urn<'_>, dir: impl AsRef<Path>) -> io::Result<()> {
     payload.put_u64_le(st.peak_mem_bytes);
     let mut meta = Vec::with_capacity(12 + payload.len());
     meta.put_slice(b"MTVU");
-    meta.put_u32_le(3);
+    meta.put_u32_le(URN_META_VERSION);
     meta.put_u32_le(crc32(&payload));
     meta.put_slice(&payload);
     std::fs::write(dir.join("urn.meta"), meta)
@@ -84,77 +87,60 @@ pub fn load_urn_external<'g>(g: &'g Graph, dir: impl AsRef<Path>) -> Result<Urn<
 }
 
 fn load_urn_inner<'g>(g: &'g Graph, dir: &Path, preload: bool) -> Result<Urn<'g>, BuildError> {
-    let raw = std::fs::read(dir.join("urn.meta")).map_err(BuildError::Io)?;
+    let raw = std::fs::read(dir.join("urn.meta"))?;
     let mut buf = &raw[..];
-    if buf.remaining() < 48 {
-        return Err(BuildError::Io(bad("truncated urn meta")));
+    if buf.remaining() < 12 {
+        return Err(bad("truncated urn meta"));
     }
     let mut magic = [0u8; 4];
     buf.copy_to_slice(&mut magic);
     if &magic != b"MTVU" {
-        return Err(BuildError::Io(bad("bad urn meta header")));
+        return Err(bad("bad urn meta header"));
     }
     let version = buf.get_u32_le();
-    match version {
-        // v1: no checksum (pre-CRC files remain loadable).
-        1 => {}
-        // v2/v3: CRC32 over everything after the 12-byte header.
-        2 | 3 => {
-            if buf.remaining() < 4 {
-                return Err(BuildError::Io(bad("truncated urn meta")));
-            }
-            let want = buf.get_u32_le();
-            if crc32(buf) != want {
-                return Err(BuildError::Io(bad(
-                    "urn meta checksum mismatch: file is corrupt",
-                )));
-            }
-        }
-        _ => return Err(BuildError::Io(bad("unsupported urn meta version"))),
-    }
-    if buf.remaining() < 44 {
-        return Err(BuildError::Io(bad("truncated urn meta")));
-    }
-    let fp = buf.get_u64_le();
-    if fp != graph_fingerprint(g) {
-        return Err(BuildError::Io(bad(
-            "graph fingerprint mismatch: this urn was built for a different graph",
+    if version != URN_META_VERSION {
+        return Err(bad(&format!(
+            "unsupported urn.meta version {version}; rebuild the urn"
         )));
+    }
+    // CRC32 over everything after the 12-byte header.
+    let want = buf.get_u32_le();
+    if crc32(buf) != want {
+        return Err(bad("urn meta checksum mismatch: file is corrupt"));
+    }
+    // 44 bytes before the per-level times, 16 after them.
+    if buf.remaining() < 44 + 16 {
+        return Err(bad("truncated urn meta"));
+    }
+    if buf.get_u64_le() != graph_fingerprint(g) {
+        return Err(bad(
+            "graph fingerprint mismatch: this urn was built for a different graph",
+        ));
     }
     let total = Duration::from_secs_f64(buf.get_f64_le());
     let merge_ops = buf.get_u64_le();
     let table_bytes = buf.get_u64_le() as usize;
     let records = buf.get_u64_le() as usize;
     let levels = buf.get_u32_le() as usize;
-    // v3 appends the out-of-core build history after the per-level times.
-    let tail = if version >= 3 { 16 } else { 0 };
-    if buf.remaining() != levels * 8 + tail {
-        return Err(BuildError::Io(bad("urn meta length mismatch")));
+    if buf.remaining() != levels * 8 + 16 {
+        return Err(bad("urn meta length mismatch"));
     }
     let per_level = (0..levels)
         .map(|_| Duration::from_secs_f64(buf.get_f64_le()))
         .collect();
-    let (spill_runs, peak_mem_bytes) = if version >= 3 {
-        (buf.get_u64_le(), buf.get_u64_le())
-    } else {
-        (0, 0)
-    };
     let stats = BuildStats {
         total,
         per_level,
         merge_ops,
         table_bytes,
         records,
-        spill_runs,
-        peak_mem_bytes,
+        spill_runs: buf.get_u64_le(),
+        peak_mem_bytes: buf.get_u64_le(),
     };
-
-    let coloring =
-        Coloring::load(std::fs::File::open(dir.join("coloring.mtvc")).map_err(BuildError::Io)?)
-            .map_err(BuildError::Io)?;
-    let mut table = CountTable::open_dir(dir).map_err(BuildError::Io)?;
+    let coloring = Coloring::load(std::fs::File::open(dir.join("coloring.mtvc"))?)?;
+    let mut table = CountTable::open_dir(dir)?;
     if preload {
-        table = table.preload().map_err(BuildError::Io)?;
+        table = table.preload()?;
     }
     Urn::assemble(g, coloring, table, stats)
 }
@@ -249,63 +235,6 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
-    /// A v1 `table.meta` written before the codec column still opens.
-    #[test]
-    fn v1_table_meta_still_loads() {
-        use bytes::BufMut;
-        let g = generators::complete_graph(8);
-        let dir = std::env::temp_dir().join("motivo-persist-test-tablev1");
-        std::fs::remove_dir_all(&dir).ok();
-        let urn = build_urn(
-            &g,
-            &BuildConfig {
-                threads: 1,
-                ..BuildConfig::new(3)
-            }
-            .seed(1),
-        )
-        .unwrap();
-        save_urn(&urn, &dir).unwrap();
-        // Convert the table files back to the v1-era layout by hand
-        // (DESIGN.md §1.2): per level, the encoded records concatenated in
-        // `level-<h>.mtvt` plus a `.idx` of per-vertex `(offset, len)`
-        // (records are plain: the build above used the default codec),
-        // then a v1 table.meta.
-        {
-            let table = motivo_table::CountTable::open_dir(&dir).unwrap();
-            for h in 1..=3u32 {
-                let mut data = Vec::new();
-                let mut index = vec![(0u64, 0u32); g.num_nodes() as usize];
-                for item in table.level(h).scan() {
-                    let (v, rec) = item.unwrap();
-                    let off = data.len();
-                    rec.encode(&mut data);
-                    index[v as usize] = (off as u64, (data.len() - off) as u32);
-                }
-                let mut idx = Vec::new();
-                idx.put_slice(b"MTVI");
-                idx.put_u32_le(1);
-                idx.put_u64_le(index.len() as u64);
-                for (off, len) in index {
-                    idx.put_u64_le(off);
-                    idx.put_u32_le(len);
-                }
-                std::fs::write(dir.join(format!("level-{h}.mtvt")), data).unwrap();
-                std::fs::write(dir.join(format!("level-{h}.mtvt.idx")), idx).unwrap();
-                std::fs::remove_file(dir.join(format!("level-{h}.mtvb"))).unwrap();
-            }
-        }
-        let mut meta = Vec::new();
-        meta.put_slice(b"MTVT");
-        meta.put_u32_le(1);
-        meta.put_u32_le(3);
-        meta.put_u32_le(g.num_nodes());
-        std::fs::write(dir.join("table.meta"), meta).unwrap();
-        let back = load_urn(&g, &dir).unwrap();
-        assert_eq!(back.total_treelets(), urn.total_treelets());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn wrong_graph_rejected() {
         let g = generators::complete_graph(8);
@@ -355,10 +284,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `urn.meta` v1 (no CRC word) and v2 (no build-history tail) are
+    /// refused with an error naming the version.
     #[test]
-    fn v1_meta_without_checksum_still_loads() {
+    fn older_meta_versions_rejected() {
+        use bytes::BufMut;
         let g = generators::complete_graph(8);
-        let dir = std::env::temp_dir().join("motivo-persist-test-v1");
+        let dir = std::env::temp_dir().join("motivo-persist-test-oldmeta");
         std::fs::remove_dir_all(&dir).ok();
         let urn = build_urn(
             &g,
@@ -370,16 +302,26 @@ mod tests {
         )
         .unwrap();
         save_urn(&urn, &dir).unwrap();
-        // Rewrite the meta as a v1 file: header says 1, no CRC word, and
-        // no v3 build-history tail (the final 16 payload bytes).
         let raw = std::fs::read(dir.join("urn.meta")).unwrap();
-        let mut v1 = Vec::new();
-        v1.put_slice(b"MTVU");
-        v1.put_u32_le(1);
-        v1.put_slice(&raw[12..raw.len() - 16]);
-        std::fs::write(dir.join("urn.meta"), v1).unwrap();
-        let back = load_urn(&g, &dir).unwrap();
-        assert_eq!(back.total_treelets(), urn.total_treelets());
+        let payload = &raw[12..raw.len() - 16];
+        for version in [1u32, 2] {
+            let mut old = Vec::new();
+            old.put_slice(b"MTVU");
+            old.put_u32_le(version);
+            if version == 2 {
+                old.put_u32_le(crc32(payload));
+            }
+            old.put_slice(payload);
+            std::fs::write(dir.join("urn.meta"), old).unwrap();
+            let err = match load_urn(&g, &dir) {
+                Err(e) => e,
+                Ok(_) => panic!("urn.meta version {version} must not load"),
+            };
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -34,16 +34,10 @@ struct Entry {
 pub struct UrnCache {
     entries: HashMap<UrnId, Entry>,
     budget_bytes: usize,
+    /// Sum of the resident entries' [`StoreUrn::bytes`].
+    resident_bytes: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    /// Mirrors of the counters above in an [`motivo_obs::Registry`]
-    /// (`store.lru.*`), when one is attached.
-    obs: Option<CacheObs>,
-}
-
-struct CacheObs {
+    /// `store.lru.*` in the store's registry: the only copy of each count.
     hits: Counter,
     misses: Counter,
     admissions: Counter,
@@ -52,29 +46,19 @@ struct CacheObs {
 
 impl UrnCache {
     /// A cache holding at most `budget_bytes` of urn payload (0 = cache
-    /// nothing; every lookup reloads).
-    pub fn new(budget_bytes: usize) -> UrnCache {
+    /// nothing; every lookup reloads). Hits, misses, admissions and
+    /// evictions are counted in `registry` under `store.lru.*`.
+    pub fn new(budget_bytes: usize, registry: &Registry) -> UrnCache {
         UrnCache {
             entries: HashMap::new(),
             budget_bytes,
+            resident_bytes: 0,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            obs: None,
-        }
-    }
-
-    /// Mirrors hit/miss/admission/eviction counts into `registry` under
-    /// `store.lru.*`.
-    pub fn with_obs(mut self, registry: &Registry) -> UrnCache {
-        self.obs = Some(CacheObs {
             hits: registry.counter("store.lru.hits"),
             misses: registry.counter("store.lru.misses"),
             admissions: registry.counter("store.lru.admissions"),
             evictions: registry.counter("store.lru.evictions"),
-        });
-        self
+        }
     }
 
     /// The configured budget.
@@ -89,17 +73,11 @@ impl UrnCache {
         match self.entries.get_mut(&id) {
             Some(e) => {
                 e.last_used = self.tick;
-                self.hits += 1;
-                if let Some(obs) = &self.obs {
-                    obs.hits.inc();
-                }
+                self.hits.inc();
                 Some(e.urn.clone())
             }
             None => {
-                self.misses += 1;
-                if let Some(obs) = &self.obs {
-                    obs.misses.inc();
-                }
+                self.misses.inc();
                 None
             }
         }
@@ -124,17 +102,16 @@ impl UrnCache {
             return;
         }
         self.tick += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                urn,
-                last_used: self.tick,
-            },
-        );
-        if let Some(obs) = &self.obs {
-            obs.admissions.inc();
+        self.resident_bytes += urn.bytes();
+        let entry = Entry {
+            urn,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.entries.insert(id, entry) {
+            self.resident_bytes -= old.urn.bytes();
         }
-        while self.resident_bytes() > self.budget_bytes {
+        self.admissions.inc();
+        while self.resident_bytes > self.budget_bytes {
             let coldest = self
                 .entries
                 .iter()
@@ -143,11 +120,8 @@ impl UrnCache {
                 .map(|(&eid, _)| eid);
             match coldest {
                 Some(eid) => {
-                    self.entries.remove(&eid);
-                    self.evictions += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.evictions.inc();
-                    }
+                    self.remove(eid);
+                    self.evictions.inc();
                 }
                 None => break, // only the new entry left; keep it
             }
@@ -157,25 +131,28 @@ impl UrnCache {
     /// Drops `id` from the cache (explicit `evict`/`remove`); returns
     /// whether it was resident.
     pub fn remove(&mut self, id: UrnId) -> bool {
-        self.entries.remove(&id).is_some()
+        match self.entries.remove(&id) {
+            Some(e) => {
+                self.resident_bytes -= e.urn.bytes();
+                true
+            }
+            None => false,
+        }
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
         self.entries.clear();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.urn.bytes()).sum()
+        self.resident_bytes = 0;
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            resident_bytes: self.resident_bytes(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            resident_bytes: self.resident_bytes,
             resident_urns: self.entries.len(),
         }
     }
@@ -206,7 +183,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let mut cache = UrnCache::new(usize::MAX);
+        let mut cache = UrnCache::new(usize::MAX, &Registry::new());
         let urn = make_urn(1);
         assert!(cache.get(UrnId(0)).is_none());
         cache.insert(UrnId(0), urn);
@@ -223,7 +200,7 @@ mod tests {
         let urns: Vec<Arc<StoreUrn>> = (1..=3).map(make_urn).collect();
         let one = urns[0].bytes();
         // Budget fits two of the three (they're near-identical in size).
-        let mut cache = UrnCache::new(one * 2 + one / 2);
+        let mut cache = UrnCache::new(one * 2 + one / 2, &Registry::new());
         cache.insert(UrnId(1), urns[0].clone());
         cache.insert(UrnId(2), urns[1].clone());
         // Touch 1 so 2 becomes the LRU victim.
@@ -238,7 +215,7 @@ mod tests {
     #[test]
     fn oversized_urn_is_not_cached() {
         let urn = make_urn(4);
-        let mut cache = UrnCache::new(urn.bytes() - 1);
+        let mut cache = UrnCache::new(urn.bytes() - 1, &Registry::new());
         cache.insert(UrnId(7), urn);
         assert!(!cache.contains(UrnId(7)));
         assert_eq!(cache.stats().resident_urns, 0);
@@ -246,7 +223,7 @@ mod tests {
 
     #[test]
     fn remove_and_clear() {
-        let mut cache = UrnCache::new(usize::MAX);
+        let mut cache = UrnCache::new(usize::MAX, &Registry::new());
         cache.insert(UrnId(0), make_urn(5));
         cache.insert(UrnId(1), make_urn(6));
         assert!(cache.remove(UrnId(0)));

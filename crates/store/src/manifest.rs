@@ -7,6 +7,9 @@
 //! A build that has a `BuildStarted` record but no matching
 //! `BuildFinished`/`BuildFailed` was interrupted by a crash; recovery
 //! marks it failed and deletes its half-written urn directory.
+//!
+//! Each tag has one layout; any other tag, such as the retired tag 2,
+//! fails replay with [`StoreError::Corrupt`] naming it.
 
 use bytes::{Buf, BufMut};
 use motivo_core::checksum::crc32;
@@ -168,13 +171,11 @@ pub enum ManifestRecord {
 }
 
 const TAG_GRAPH_ADDED: u8 = 1;
-/// Legacy `BuildStarted` without the codec byte (pre-codec journals);
-/// decoded as [`RecordCodec::Plain`], never written anymore.
-const TAG_BUILD_STARTED_V1: u8 = 2;
 const TAG_BUILD_FINISHED: u8 = 3;
 const TAG_BUILD_FAILED: u8 = 4;
 const TAG_REMOVED: u8 = 5;
-/// `BuildStarted` carrying the record-codec tag.
+/// `BuildStarted`. Tag 2 was its form without the codec byte; decode
+/// refuses it like any unknown tag.
 const TAG_BUILD_STARTED: u8 = 6;
 
 impl ManifestRecord {
@@ -252,11 +253,10 @@ impl ManifestRecord {
                     edges: buf.get_u64_le(),
                 })
             }
-            tag @ (TAG_BUILD_STARTED | TAG_BUILD_STARTED_V1) => {
-                // 28 fixed bytes + coloring tag + zero_rooting (+ codec on
-                // the v2 tag); the biased variant re-checks for its 8
-                // extra λ bytes below.
-                need(&buf, if tag == TAG_BUILD_STARTED { 31 } else { 30 })?;
+            TAG_BUILD_STARTED => {
+                // 28 fixed bytes + coloring tag + zero_rooting + codec; the
+                // biased variant re-checks for its 8 extra λ bytes below.
+                need(&buf, 31)?;
                 let id = UrnId(buf.get_u64_le());
                 let fingerprint = buf.get_u64_le();
                 let k = buf.get_u32_le();
@@ -264,18 +264,14 @@ impl ManifestRecord {
                 let lambda_bits = match buf.get_u8() {
                     0 => None,
                     1 => {
-                        need(&buf, if tag == TAG_BUILD_STARTED { 10 } else { 9 })?;
+                        need(&buf, 10)?;
                         Some(buf.get_u64_le())
                     }
                     _ => return Err(corrupt("bad coloring tag")),
                 };
                 let zero_rooting = buf.get_u8() != 0;
-                let codec = if tag == TAG_BUILD_STARTED {
-                    RecordCodec::from_tag(buf.get_u8()).ok_or_else(|| corrupt("bad codec tag"))?
-                } else {
-                    // Pre-codec journals only ever built plain tables.
-                    RecordCodec::Plain
-                };
+                let codec =
+                    RecordCodec::from_tag(buf.get_u8()).ok_or_else(|| corrupt("bad codec tag"))?;
                 ManifestRecord::BuildStarted {
                     id,
                     key: BuildKey {
@@ -309,7 +305,11 @@ impl ManifestRecord {
                     id: UrnId(buf.get_u64_le()),
                 }
             }
-            _ => return Err(corrupt("unknown manifest record tag")),
+            _ => {
+                return Err(corrupt(&format!(
+                    "unknown manifest tag {tag}; rebuild the store"
+                )))
+            }
         };
         Ok(rec)
     }
@@ -576,23 +576,14 @@ mod tests {
         let mut bad_codec = full.clone();
         *bad_codec.last_mut().unwrap() = 99;
         assert!(ManifestRecord::decode(&bad_codec).is_err());
-    }
-
-    /// Journals written before the codec column used tag 2 without a
-    /// trailing codec byte; they decode as plain builds.
-    #[test]
-    fn legacy_build_started_decodes_as_plain() {
-        let modern = ManifestRecord::BuildStarted {
-            id: UrnId(9),
-            key: key(0xC0FFEE, 5),
-        };
-        let mut legacy = modern.encode();
-        legacy[0] = TAG_BUILD_STARTED_V1;
-        legacy.pop(); // drop the codec byte
-        assert_eq!(ManifestRecord::decode(&legacy).unwrap(), modern);
-        // Truncations of the legacy frame are still rejected.
-        for cut in 1..legacy.len() {
-            assert!(ManifestRecord::decode(&legacy[..cut]).is_err());
+        // So is a tag-2 `BuildStarted`, written before the codec byte
+        // existed, and the error names the tag.
+        let mut tag2 = full.clone();
+        tag2[0] = 2;
+        tag2.pop();
+        match ManifestRecord::decode(&tag2) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("tag 2"), "{msg}"),
+            other => panic!("tag 2 must be refused, got {other:?}"),
         }
     }
 

@@ -33,20 +33,18 @@ use crate::manifest::{
 };
 use crate::owned::StoreUrn;
 
-/// Store tuning knobs.
+/// Store tuning knobs. A build's thread count is the caller's
+/// [`BuildConfig::threads`].
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// Byte budget of the loaded-urn LRU cache.
     pub cache_bytes: usize,
-    /// Worker threads per urn build (`0` = all cores).
-    pub build_threads: usize,
 }
 
 impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             cache_bytes: 256 << 20,
-            build_threads: 0,
         }
     }
 }
@@ -271,7 +269,7 @@ impl UrnStore {
             state: Mutex::new(State {
                 manifest,
                 journal,
-                cache: UrnCache::new(opts.cache_bytes).with_obs(&obs),
+                cache: UrnCache::new(opts.cache_bytes, &obs),
                 graphs: HashMap::new(),
                 journal_appends: obs.counter("store.journal.appends"),
                 journal_append_hist: obs.histogram("store.journal.append"),
@@ -283,10 +281,9 @@ impl UrnStore {
 
         let (tx, rx) = mpsc::channel();
         let worker_inner = inner.clone();
-        let build_threads = opts.build_threads;
         let worker = std::thread::Builder::new()
             .name("motivo-store-build".into())
-            .spawn(move || worker_loop(worker_inner, rx, build_threads))
+            .spawn(move || worker_loop(worker_inner, rx))
             .map_err(StoreError::Io)?;
 
         Ok(UrnStore {
@@ -598,10 +595,10 @@ impl UrnMeta {
 }
 
 /// The background build worker: drains the queue, builds block levels
-/// straight into the urn's directory (under the caller's memtable budget,
-/// or [`DEFAULT_BUILD_MEM_BYTES`] if it set none), journals the outcome,
-/// and wakes every waiter.
-fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>, build_threads: usize) {
+/// straight into the urn's directory with the caller's thread count
+/// (under the caller's memtable budget, or [`DEFAULT_BUILD_MEM_BYTES`] if
+/// it set none), journals the outcome, and wakes every waiter.
+fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         let (id, graph, cfg) = match job {
             Job::Shutdown => return,
@@ -631,7 +628,6 @@ fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>, build_threads: usize)
                     dir: dir_for_build.clone(),
                     mem_budget,
                 };
-                cfg.threads = build_threads;
                 // Build-phase spans and the encode histogram land in the
                 // store's registry (a side channel only — the urn bytes
                 // are identical with or without it).

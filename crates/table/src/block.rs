@@ -1092,6 +1092,52 @@ mod tests {
         }
     }
 
+    /// The footer CRC covers only the index, so a sealed file with damaged
+    /// data still opens. Every point read and the scan must then answer
+    /// `Ok` or `Err`, never panic, and the damage must show as errors.
+    #[test]
+    fn flipped_data_bytes_read_as_errors_not_panics() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("flip-{codec}"));
+            let path = dir.join("l.mtvb");
+            let n = 30u32;
+            let mut blk = BlockLevel::create(&path, n, codec, 0).unwrap();
+            for v in 0..n {
+                let rec = if v % 10 == 4 {
+                    big_record_in(codec, v as u64)
+                } else {
+                    record_in(codec, v as u64)
+                };
+                blk.put(v, rec).unwrap();
+            }
+            blk.seal().unwrap();
+            let index_len = blk.profile().blocks as u64 * INDEX_ENTRY_LEN;
+            drop(blk);
+            let clean = std::fs::read(&path).unwrap();
+            let data_len = (clean.len() as u64 - FOOTER_LEN - index_len) as usize;
+            // About 100 flips per codec, spread over the whole data region.
+            let mut errors = 0;
+            for (i, at) in (0..data_len).step_by(data_len / 100 + 1).enumerate() {
+                let mask = [0x01u8, 0x80, 0xff][i % 3];
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                std::fs::write(&path, &bytes).unwrap();
+                let reads = std::panic::catch_unwind(|| {
+                    let level = BlockLevel::open(&path, codec).expect("the index is intact");
+                    let gets = (0..n).map(|v| level.get(v).map(drop));
+                    let scan = level.scan().map(|item| item.map(drop));
+                    gets.chain(scan).filter(Result::is_err).count()
+                });
+                match reads {
+                    Ok(e) => errors += e,
+                    Err(_) => panic!("{codec}: flip {mask:#04x} at data byte {at} panicked"),
+                }
+            }
+            assert!(errors > 0, "{codec}: no flip was reported");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn levels_written_with_16_kib_blocks_still_read() {
         for codec in RecordCodec::ALL {

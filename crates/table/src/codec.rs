@@ -8,7 +8,7 @@
 //! representations a [`crate::Record`] can take:
 //!
 //! * [`RecordCodec::Plain`] — the original fixed-width layout (176 bits per
-//!   pair). Fast, simple, and the v1 on-disk format.
+//!   pair). Fast, simple, and the default.
 //! * [`RecordCodec::Succinct`] — ascending keys stored as LEB128 varint
 //!   deltas plus LEB128 per-entry counts, with a sparse anchor every
 //!   [`ANCHOR_BLOCK`] entries so point queries stay logarithmic.
@@ -50,12 +50,12 @@ pub const ANCHOR_BLOCK: usize = 32;
 
 /// Which byte-level representation a record (and, uniformly, a whole count
 /// table) uses. This is the closed, sealed set of codecs — the on-disk
-/// format tag ([`RecordCodec::tag`]) is part of the `table.meta` v2 and
+/// format tag ([`RecordCodec::tag`]) is part of the `table.meta` and
 /// store-manifest formats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RecordCodec {
     /// Fixed-width layout: `u64` key plus `u128` cumulative count per
-    /// entry (24 bytes/pair). The v1 format; the default.
+    /// entry (24 bytes/pair). The default.
     #[default]
     Plain,
     /// Varint key deltas + varint counts with sparse cumulative anchors
@@ -67,7 +67,7 @@ impl RecordCodec {
     /// Every codec, in tag order.
     pub const ALL: [RecordCodec; 2] = [RecordCodec::Plain, RecordCodec::Succinct];
 
-    /// Stable one-byte format tag used by `table.meta` v2 and the store
+    /// Stable one-byte format tag used by `table.meta` and the store
     /// manifest.
     pub fn tag(self) -> u8 {
         match self {

@@ -11,10 +11,9 @@
 //! external sort pass — and a sealed level maps its data region and
 //! serves point reads in place.
 //!
-//! `CountTable::open_dir` still reads the v1/v2 directory layout (one
-//! `level-<h>.mtvt` data file plus a per-vertex `(offset, len)` index per
-//! level, DESIGN.md §1.2) through a private read-only reader; saving such
-//! a table rewrites it as block files.
+//! `CountTable::open_dir` reads exactly what `save_dir` writes:
+//! `table.meta` v3 and one block file per level. A directory of an older
+//! version is refused with an error naming that version; rebuild it.
 //!
 //! Every level and the assembled [`CountTable`] carry the [`RecordCodec`]
 //! their records are sealed under; `byte_size` reports the true encoded
@@ -25,7 +24,6 @@
 
 use crate::codec::RecordCodec;
 use crate::record::Record;
-use std::fs::File;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -177,119 +175,6 @@ impl LevelStore for MemoryLevel {
     }
 }
 
-/// Read-only view of one v1/v2 level (DESIGN.md §1.2): a data file of
-/// concatenated encoded records plus a per-vertex `(offset, len)` index
-/// in `<path>.idx`. Kept so `CountTable::open_dir` can open directories
-/// written before block storage; nothing writes this layout any more, and
-/// `save_dir` migrates it.
-struct DiskLevel {
-    file: File,
-    path: PathBuf,
-    codec: RecordCodec,
-    /// `(offset, len)` per vertex; `len == 0` means no record.
-    index: Vec<(u64, u32)>,
-    payload_bytes: u64,
-    count: usize,
-}
-
-impl DiskLevel {
-    /// Opens the level at `path` (and its index at `<path>.idx`),
-    /// decoding records under `codec` (recorded in the table's
-    /// `table.meta`).
-    fn open(path: PathBuf, codec: RecordCodec) -> io::Result<DiskLevel> {
-        use bytes::Buf;
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let file = File::open(&path)?;
-        let raw = std::fs::read(legacy_index_path(&path))?;
-        let mut buf = &raw[..];
-        if buf.remaining() < 16 {
-            return Err(bad("truncated index"));
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != b"MTVI" || buf.get_u32_le() != 1 {
-            return Err(bad("bad index header"));
-        }
-        let n = buf.get_u64_le() as usize;
-        if n.checked_mul(12) != Some(buf.remaining()) {
-            return Err(bad("index length mismatch"));
-        }
-        let mut index = Vec::with_capacity(n);
-        let mut count = 0;
-        let mut payload_bytes = 0u64;
-        for _ in 0..n {
-            let off = buf.get_u64_le();
-            let len = buf.get_u32_le();
-            if len > 0 {
-                count += 1;
-                payload_bytes = payload_bytes.max(off + len as u64);
-            }
-            index.push((off, len));
-        }
-        Ok(DiskLevel {
-            file,
-            path,
-            codec,
-            index,
-            payload_bytes,
-            count,
-        })
-    }
-}
-
-/// Index file of a v1/v2 level: the data file's name plus `.idx`.
-fn legacy_index_path(data: &Path) -> PathBuf {
-    let mut os = data.as_os_str().to_owned();
-    os.push(".idx");
-    PathBuf::from(os)
-}
-
-impl LevelStore for DiskLevel {
-    fn put(&mut self, _v: u32, _rec: Record) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "put on a read-only legacy level",
-        ))
-    }
-
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
-        let (off, len) = self.index[v as usize];
-        if len == 0 {
-            return Ok(RecordHandle::Owned(Record::default()));
-        }
-        let mut buf = vec![0u8; len as usize];
-        use std::os::unix::fs::FileExt;
-        self.file.read_exact_at(&mut buf, off)?;
-        let rec = Record::decode(self.codec, &mut &buf[..]).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("corrupt record for vertex {v} in {}", self.path.display()),
-            )
-        })?;
-        Ok(RecordHandle::Owned(rec))
-    }
-
-    fn byte_size(&self) -> usize {
-        self.payload_bytes as usize
-    }
-
-    fn record_count(&self) -> usize {
-        self.count
-    }
-
-    fn num_vertices(&self) -> u32 {
-        self.index.len() as u32
-    }
-
-    fn scan(&self) -> LevelScan<'_> {
-        Box::new(
-            (0..self.index.len() as u32)
-                .filter(|&v| self.index[v as usize].1 > 0)
-                .map(|v| self.get(v).map(|h| (v, h))),
-        )
-    }
-}
-
 /// Which backend new levels use.
 #[derive(Clone, Debug)]
 pub enum StorageKind {
@@ -415,8 +300,7 @@ impl CountTable {
     /// level, plus `table.meta` v3), so it can be reopened with
     /// [`CountTable::open_dir`]. Every level streams through
     /// [`LevelStore::scan`] into a block writer; records are re-sealed
-    /// under the table's codec if a level disagrees. Stale v2 level files
-    /// (`level-<h>.mtvt` + `.idx`) left by an older writer are removed.
+    /// under the table's codec if a level disagrees.
     pub fn save_dir<P: AsRef<Path>>(&self, dir: P) -> io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -436,10 +320,6 @@ impl CountTable {
                 writer.add(v, &rec)?;
             }
             writer.finish()?;
-            // Clean up files from the pre-block v2 layout so the directory
-            // has a single source of truth.
-            std::fs::remove_file(dir.join(format!("level-{h}.mtvt"))).ok();
-            std::fs::remove_file(dir.join(format!("level-{h}.mtvt.idx"))).ok();
         }
         use bytes::BufMut;
         let mut meta = Vec::new();
@@ -477,17 +357,16 @@ impl CountTable {
         })
     }
 
-    /// Reopens a table persisted by [`CountTable::save_dir`]. Reads the
-    /// sorted-block v3 format, the v2 format (per-level data + index file
-    /// pairs, with a codec tag), and the pre-codec v1 format, whose
-    /// records are always plain.
+    /// Reopens a table persisted by [`CountTable::save_dir`]: `table.meta`
+    /// v3 and one block file per level. Any other version is refused with
+    /// `InvalidData`.
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> io::Result<CountTable> {
         use bytes::Buf;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let dir = dir.as_ref();
         let raw = std::fs::read(dir.join("table.meta"))?;
         let mut buf = &raw[..];
-        if buf.remaining() < 16 {
+        if buf.remaining() < 8 {
             return Err(bad("truncated meta"));
         }
         let mut magic = [0u8; 4];
@@ -496,43 +375,28 @@ impl CountTable {
             return Err(bad("bad table meta"));
         }
         let version = buf.get_u32_le();
-        if !(1..=TABLE_META_VERSION).contains(&version) {
-            return Err(bad("unsupported table meta version"));
+        if version != TABLE_META_VERSION {
+            return Err(bad(&format!(
+                "unsupported table.meta version {version}; rebuild the table"
+            )));
         }
-        if version >= 2 && buf.remaining() < 9 {
+        if buf.remaining() < 9 {
             return Err(bad("truncated meta"));
         }
         let k = buf.get_u32_le();
         let _n = buf.get_u32_le();
-        let codec = if version >= 2 {
-            RecordCodec::from_tag(buf.get_u8()).ok_or_else(|| bad("unknown codec tag"))?
-        } else {
-            // v1 predates the codec column: every record is plain.
-            RecordCodec::Plain
-        };
-        let (peak_mem_bytes, spill_runs) = if version >= 3 {
-            if buf.remaining() != 8 + 4 * k as usize {
-                return Err(bad("truncated meta build history"));
-            }
-            let peak = buf.get_u64_le();
-            let spills = (0..k).map(|_| buf.get_u32_le()).collect();
-            (peak, spills)
-        } else {
-            (0, vec![0; k as usize])
-        };
+        let codec = RecordCodec::from_tag(buf.get_u8()).ok_or_else(|| bad("unknown codec tag"))?;
+        if k == 0 || buf.remaining() != 8 + 4 * k as usize {
+            return Err(bad("table.meta k is 0 or disagrees with its build history"));
+        }
+        let peak_mem_bytes = buf.get_u64_le();
+        let spill_runs = (0..k).map(|_| buf.get_u32_le()).collect();
         let mut levels: Vec<Box<dyn LevelStore>> = Vec::with_capacity(k as usize);
         for h in 1..=k {
-            if version >= 3 {
-                levels.push(Box::new(crate::block::BlockLevel::open(
-                    dir.join(format!("level-{h}.mtvb")),
-                    codec,
-                )?));
-            } else {
-                levels.push(Box::new(DiskLevel::open(
-                    dir.join(format!("level-{h}.mtvt")),
-                    codec,
-                )?));
-            }
+            levels.push(Box::new(crate::block::BlockLevel::open(
+                dir.join(format!("level-{h}.mtvb")),
+                codec,
+            )?));
         }
         Ok(CountTable {
             k,
@@ -544,10 +408,10 @@ impl CountTable {
     }
 }
 
-/// Current `table.meta` format version. v1 had no codec tag (plain
-/// records); v2 appended one byte with [`RecordCodec::tag`]; v3 switches
-/// levels to sorted-block files (`level-<h>.mtvb`) and appends the build
-/// history: `peak_mem_bytes: u64`, then `k × spill_runs: u32`.
+/// The only `table.meta` format version, written by `save_dir` and read
+/// by `open_dir`: the header, `k`, `n` and the [`RecordCodec::tag`] byte,
+/// then the build history (`peak_mem_bytes: u64`, then `k × spill_runs:
+/// u32`).
 pub const TABLE_META_VERSION: u32 = 3;
 
 #[cfg(test)]
@@ -587,32 +451,6 @@ mod tests {
         assert_eq!(lvl.get(3).unwrap().total(), record(5).total());
         assert!(lvl.get(0).unwrap().is_empty());
         assert!(lvl.get(1).unwrap().is_empty());
-    }
-
-    /// Writes one v1/v2 level pair (`<path>` + `<path>.idx`, DESIGN.md
-    /// §1.2) as the greedy-flushing writer of those versions did: records
-    /// appended in put order, then the per-vertex `(offset, len)` index.
-    /// Returns the data file's length.
-    fn write_legacy_level(path: &Path, n: u32, records: &[(u32, Record)]) -> usize {
-        use bytes::BufMut;
-        let mut data = Vec::new();
-        let mut index = vec![(0u64, 0u32); n as usize];
-        for (v, rec) in records {
-            let off = data.len();
-            rec.encode(&mut data);
-            index[*v as usize] = (off as u64, (data.len() - off) as u32);
-        }
-        let mut idx = Vec::new();
-        idx.put_slice(b"MTVI");
-        idx.put_u32_le(1);
-        idx.put_u64_le(n as u64);
-        for (off, len) in index {
-            idx.put_u64_le(off);
-            idx.put_u32_le(len);
-        }
-        std::fs::write(path, &data).unwrap();
-        std::fs::write(legacy_index_path(path), idx).unwrap();
-        data.len()
     }
 
     #[test]
@@ -668,93 +506,6 @@ mod tests {
         }
     }
 
-    /// A pre-codec v1 `table.meta` (no codec byte, `.mtvt` level files)
-    /// opens as plain.
-    #[test]
-    fn v1_meta_opens_as_plain() {
-        use bytes::BufMut;
-        let dir = std::env::temp_dir().join("motivo-table-test-v1meta");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        // The old layout: one legacy level pair plus a v1 meta.
-        write_legacy_level(&dir.join("level-1.mtvt"), 4, &[(2, record(6))]);
-        let mut meta = Vec::new();
-        meta.put_slice(b"MTVT");
-        meta.put_u32_le(1);
-        meta.put_u32_le(1); // k
-        meta.put_u32_le(4); // n
-        std::fs::write(dir.join("table.meta"), meta).unwrap();
-        let back = CountTable::open_dir(&dir).unwrap();
-        assert_eq!(back.codec(), RecordCodec::Plain);
-        assert_eq!(
-            back.get(1, 2).unwrap().iter().collect::<Vec<_>>(),
-            record(6).iter().collect::<Vec<_>>()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A v2 directory (per-level `.mtvt` + `.idx` pairs, codec byte in the
-    /// meta) still opens under the v3 reader and serves exactly what an
-    /// in-memory level holds; the reader refuses writes; and re-saving the
-    /// table migrates the directory to block files, removing the stale v2
-    /// pair.
-    #[test]
-    fn v2_dir_opens_and_resave_migrates_to_v3() {
-        use bytes::BufMut;
-        for codec in RecordCodec::ALL {
-            let dir = std::env::temp_dir().join(format!("motivo-table-test-v2meta-{codec}"));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            // Out-of-order puts, as a parallel build flushed them.
-            let puts: Vec<(u32, Record)> = [0u32, 5, 19, 7]
-                .into_iter()
-                .map(|v| (v, record_in(codec, v as u64)))
-                .collect();
-            let data_len = write_legacy_level(&dir.join("level-1.mtvt"), 20, &puts);
-            let mut mem = MemoryLevel::new(20, codec);
-            for (v, rec) in &puts {
-                mem.put(*v, rec.clone()).unwrap();
-            }
-            let mut meta = Vec::new();
-            meta.put_slice(b"MTVT");
-            meta.put_u32_le(2);
-            meta.put_u32_le(1); // k
-            meta.put_u32_le(20); // n
-            meta.put_u8(codec.tag());
-            std::fs::write(dir.join("table.meta"), meta).unwrap();
-
-            let matches_memory = |table: &CountTable| {
-                assert_eq!(table.codec(), codec);
-                assert_eq!(table.record_count(), 4);
-                for v in 0..20 {
-                    let (d, m) = (table.get(1, v).unwrap(), mem.get(v).unwrap());
-                    assert_eq!(d.total(), m.total(), "{codec}: vertex {v}");
-                    assert_eq!(d.iter().collect::<Vec<_>>(), m.iter().collect::<Vec<_>>());
-                }
-                let ids: Vec<u32> = table
-                    .level(1)
-                    .scan()
-                    .map(|r| r.map(|(v, _)| v))
-                    .collect::<io::Result<_>>()
-                    .unwrap();
-                assert_eq!(ids, vec![0, 5, 7, 19], "{codec}: scan is ascending");
-            };
-            let back = CountTable::open_dir(&dir).unwrap();
-            matches_memory(&back);
-            assert_eq!(back.byte_size(), data_len);
-            let mut reader = DiskLevel::open(dir.join("level-1.mtvt"), codec).unwrap();
-            assert!(reader.put(3, record_in(codec, 3)).is_err(), "read-only");
-
-            // Re-save: the directory converts to the v3 block layout.
-            back.save_dir(&dir).unwrap();
-            assert!(dir.join("level-1.mtvb").exists());
-            assert!(!dir.join("level-1.mtvt").exists());
-            assert!(!dir.join("level-1.mtvt.idx").exists());
-            matches_memory(&CountTable::open_dir(&dir).unwrap());
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
     /// Saving a plain-built table under a succinct-tagged table re-seals
     /// every record, and the reopened table serves identical contents.
     #[test]
@@ -778,38 +529,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `table.meta` v1 and v2 (per-vertex-index level files) are refused
+    /// with `InvalidData` naming the version, and so is a v3 meta with
+    /// `k = 0`, which would otherwise open a table with no levels.
     #[test]
-    fn open_rejects_corrupt_index() {
-        let dir = std::env::temp_dir().join("motivo-table-test-badidx");
+    fn unreadable_meta_is_refused() {
+        use bytes::BufMut;
+        let dir = std::env::temp_dir().join("motivo-table-test-badmeta");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        write_legacy_level(&dir.join("l.mtvt"), 4, &[(1, record(3))]);
-        assert!(DiskLevel::open(dir.join("l.mtvt"), RecordCodec::Plain).is_ok());
-        // Truncate the index.
-        let idx = dir.join("l.mtvt.idx");
-        let data = std::fs::read(&idx).unwrap();
-        std::fs::write(&idx, &data[..data.len() - 4]).unwrap();
-        assert!(DiskLevel::open(dir.join("l.mtvt"), RecordCodec::Plain).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A truncated data file turns `get` into an `Err`, not a panic — the
-    /// fallible `LevelStore` contract.
-    #[test]
-    fn corrupt_data_file_is_an_error_not_a_panic() {
-        for codec in RecordCodec::ALL {
-            let dir = std::env::temp_dir().join(format!("motivo-table-test-baddata-{codec}"));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            let data_path = dir.join("l.mtvt");
-            write_legacy_level(&data_path, 4, &[(1, record_in(codec, 3))]);
-            // Truncate the data file after the level was persisted.
-            let data = std::fs::read(&data_path).unwrap();
-            std::fs::write(&data_path, &data[..data.len() - 1]).unwrap();
-            let lvl = DiskLevel::open(data_path, codec).unwrap();
-            assert!(lvl.get(1).is_err(), "truncated record must error");
-            std::fs::remove_dir_all(&dir).ok();
+        for (version, k, want) in [
+            (1u32, 1u32, "version 1"),
+            (2, 1, "version 2"),
+            (3, 0, "k is 0"),
+        ] {
+            let mut meta = Vec::new();
+            meta.put_slice(b"MTVT");
+            meta.put_u32_le(version);
+            meta.put_u32_le(k);
+            meta.put_u32_le(4); // n
+            if version != 1 {
+                meta.put_u8(RecordCodec::Plain.tag());
+            }
+            if version == 3 {
+                meta.put_u64_le(0); // peak_mem_bytes, then k = 0 spill counts
+            }
+            std::fs::write(dir.join("table.meta"), meta).unwrap();
+            let err = CountTable::open_dir(&dir)
+                .err()
+                .expect("an unreadable table.meta must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(want), "{err}");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The succinct codec's table-level footprint is a large fraction

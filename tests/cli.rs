@@ -166,8 +166,9 @@ fn build_then_sample_from_persisted_urn() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `build --codec succinct` persists a v2 table, `table stats` reports its
-/// compression ratio, and `sample` serves from it transparently.
+/// `build --codec succinct` persists a succinct table, `table stats`
+/// reports its compression ratio, and `sample` serves from it
+/// transparently.
 #[test]
 fn succinct_build_table_stats_and_sample() {
     let dir = workdir("codec");

@@ -207,7 +207,6 @@ fn lru_cache_respects_byte_budget_and_counts_hits() {
         &dir,
         StoreOptions {
             cache_bytes: one + one / 2,
-            ..Default::default()
         },
     )
     .unwrap();
