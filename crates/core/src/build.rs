@@ -7,8 +7,7 @@ use crate::error::BuildError;
 use crate::urn::Urn;
 use motivo_graph::{Coloring, Graph};
 use motivo_obs::{Histogram, Obs};
-use motivo_table::storage::{LevelStore, StorageKind};
-use motivo_table::{CountTable, Record, RecordBuilder, RecordCodec};
+use motivo_table::{CountTable, Level, Record, RecordBuilder, RecordCodec, StorageKind};
 use motivo_treelet::{ColoredTreelet, Treelet, TreeletFamily};
 use std::collections::HashMap;
 use std::io;
@@ -227,8 +226,10 @@ pub fn build_table(
     let mut per_level = Vec::with_capacity(k as usize - 1);
     let merge_ops = AtomicU64::new(0);
 
-    // Level 1: one singleton record per vertex.
-    let mut levels: Vec<Box<dyn LevelStore>> = Vec::with_capacity(k as usize);
+    // Level 1: one singleton record per vertex. Each level is sealed
+    // before the next reads it: block builders merge their memtable and
+    // spill runs into the level file here, written once.
+    let mut levels: Vec<Level> = Vec::with_capacity(k as usize);
     let mut l1 = cfg.storage.create_level(1, n, cfg.codec)?;
     for v in 0..n {
         let ct = ColoredTreelet::new(
@@ -237,10 +238,7 @@ pub fn build_table(
         );
         l1.put(v, Record::from_counts_in(cfg.codec, vec![(ct.code(), 1)]))?;
     }
-    // Seal before higher levels read it: block-backed levels compact
-    // their memtable and spill runs into the final block file here.
-    l1.seal()?;
-    levels.push(l1);
+    levels.push(l1.seal()?);
 
     for h in 2..=k {
         let level_start = Instant::now();
@@ -340,8 +338,7 @@ pub fn build_table(
             level.put(v, rec)?;
         }
 
-        level.seal()?;
-        levels.push(level);
+        levels.push(level.seal()?);
         per_level.push(level_start.elapsed());
     }
 
@@ -362,7 +359,7 @@ pub fn build_table(
 struct LevelCtx<'a> {
     g: &'a Graph,
     coloring: &'a Coloring,
-    levels: &'a [Box<dyn LevelStore>],
+    levels: &'a [Level],
     h: u32,
     k: u32,
     zero_rooting: bool,
@@ -708,6 +705,39 @@ mod tests {
                 }
             }
             assert_eq!(ta.record_count(), tb.record_count());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A write error fails the build with `BuildError::Io`, without a
+    /// panic or a hang, and leaves no run file behind: at a level's seal
+    /// (its `.new` file cannot be created), and in the collector while
+    /// workers still run (a spill run cannot be created, so `put` fails).
+    /// A directory planted at the file's path is the fault.
+    #[test]
+    fn level_write_errors_fail_the_build_cleanly() {
+        let g = generators::barabasi_albert(120, 3, 2);
+        for (budget, planted) in [(0, "level-3.mtvb.new"), (4 * 1024, "level-3.mtvb.run0")] {
+            let dir = std::env::temp_dir().join(format!("motivo-core-write-error-{budget}"));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(dir.join(planted)).unwrap();
+            let cfg = BuildConfig {
+                threads: 2,
+                ..BuildConfig::new(5)
+            }
+            .build_mem_bytes(&dir, budget);
+            match build_urn(&g, &cfg) {
+                Err(BuildError::Io(_)) => {}
+                Err(e) => panic!("{planted}: want an I/O error, got {e}"),
+                Ok(_) => panic!("{planted}: the build must fail"),
+            }
+            let runs: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.is_file() && p.to_string_lossy().contains(".run"))
+                .collect();
+            assert!(runs.is_empty(), "{planted}: runs left behind: {runs:?}");
+            assert!(dir.join("level-2.mtvb").is_file() && !dir.join("level-3.mtvb").exists());
             std::fs::remove_dir_all(&dir).ok();
         }
     }

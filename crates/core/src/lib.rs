@@ -33,7 +33,6 @@
 pub mod ags;
 pub mod bounds;
 pub mod build;
-pub mod checksum;
 pub mod ensemble;
 pub mod error;
 pub mod naive;
@@ -48,7 +47,7 @@ pub use ags::{ags, AgsConfig, AgsResult};
 pub use build::{build_urn, BuildConfig, BuildStats, ColoringSpec};
 pub use ensemble::{ensemble, ClassSummary, EnsembleConfig, EnsembleResult, Estimator};
 pub use error::BuildError;
-pub use motivo_table::RecordCodec;
+pub use motivo_table::{checksum, RecordCodec};
 pub use naive::{estimates_from_tally, naive_estimates, sample_tally, Estimates, GraphletEstimate};
 pub use persist::{graph_fingerprint, load_urn, load_urn_external, save_urn};
 pub use sample::{SampleConfig, Sampler, SAMPLING_ALLOCS_COUNTER};

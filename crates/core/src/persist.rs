@@ -325,6 +325,96 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A block build into the urn directory seals every level in place:
+    /// `save_urn` there keeps each level file (same inode, same bytes),
+    /// and `save_urn` into another directory writes byte-identical files.
+    #[test]
+    fn save_keeps_levels_sealed_in_place_and_copies_others_byte_for_byte() {
+        use std::os::unix::fs::MetadataExt;
+        let g = generators::barabasi_albert(200, 3, 4);
+        let base = std::env::temp_dir().join("motivo-persist-test-inplace");
+        std::fs::remove_dir_all(&base).ok();
+        let (built, copy) = (base.join("built"), base.join("copy"));
+        let cfg = BuildConfig {
+            threads: 2,
+            ..BuildConfig::new(4)
+        }
+        .seed(6)
+        .build_mem_bytes(&built, 2048);
+        let urn = build_urn(&g, &cfg).unwrap();
+        assert!(urn.build_stats().spill_runs >= 2);
+        let level = |dir: &Path, h: u32| dir.join(format!("level-{h}.mtvb"));
+        let sealed: Vec<(u64, Vec<u8>)> = (1..=4)
+            .map(|h| {
+                let path = level(&built, h);
+                (
+                    std::fs::metadata(&path).unwrap().ino(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        save_urn(&urn, &built).unwrap();
+        save_urn(&urn, &copy).unwrap();
+        for (h, (ino, bytes)) in (1..=4).zip(&sealed) {
+            let path = level(&built, h);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().ino(),
+                *ino,
+                "level {h} rewritten"
+            );
+            assert_eq!(&std::fs::read(&path).unwrap(), bytes, "level {h}");
+            assert_eq!(
+                &std::fs::read(level(&copy, h)).unwrap(),
+                bytes,
+                "copied level {h}"
+            );
+        }
+        let names = |dir: &Path| {
+            let mut v: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(names(&built), names(&copy), "no scratch file left in place");
+        for dir in [&built, &copy] {
+            let back = load_urn(&g, dir).unwrap();
+            assert_eq!(back.total_treelets(), urn.total_treelets());
+            assert_eq!(back.build_stats().spill_runs, urn.build_stats().spill_runs);
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// No checksum covers a block file's footer. A `level-1.mtvb` whose
+    /// footer claims fewer vertices than `table.meta` is refused with
+    /// `InvalidData`, by `load_urn` and by `load_urn_external`.
+    #[test]
+    fn level_footer_disagreeing_with_table_meta_is_refused() {
+        let g = generators::barabasi_albert(40, 3, 1);
+        let dir = std::env::temp_dir().join("motivo-persist-test-footer-n");
+        std::fs::remove_dir_all(&dir).ok();
+        let urn = build_urn(&g, &BuildConfig::new(3).seed(1).threads(1)).unwrap();
+        save_urn(&urn, &dir).unwrap();
+        let path = dir.join("level-1.mtvb");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer = bytes.len() - 28;
+        assert_eq!(bytes[footer..footer + 4], 40u32.to_le_bytes());
+        bytes[footer..footer + 4].copy_from_slice(&4u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [load_urn(&g, &dir), load_urn_external(&g, &dir)] {
+            match result {
+                Err(BuildError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    assert!(e.to_string().contains("level-1.mtvb"), "{e}");
+                }
+                Err(e) => panic!("want an InvalidData I/O error, got {e}"),
+                Ok(_) => panic!("a footer n of 4 for 40 vertices must not load"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn fingerprint_sensitive_to_structure() {
         let a = generators::path_graph(10);

@@ -597,7 +597,9 @@ impl UrnMeta {
 /// The background build worker: drains the queue, builds block levels
 /// straight into the urn's directory with the caller's thread count
 /// (under the caller's memtable budget, or [`DEFAULT_BUILD_MEM_BYTES`] if
-/// it set none), journals the outcome, and wakes every waiter.
+/// it set none), journals the outcome, and wakes every waiter. Each level
+/// file is written once, when its level seals: `save_urn` finds them in
+/// place and adds only the metadata.
 fn worker_loop(inner: Arc<Inner>, rx: mpsc::Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         let (id, graph, cfg) = match job {

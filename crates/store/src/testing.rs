@@ -1,92 +1,18 @@
-//! Test support: I/O fault injection for crash and replication tests.
+//! Test support: a torn journal append for crash and replication tests.
 //!
 //! Production code never calls into this module; it exists so the
 //! integration suites (`tests/store.rs`, `tests/replication.rs`) and the
-//! crate's own unit tests share one honest way to simulate the two
-//! failure shapes that matter to a journaled store:
-//!
-//! - a **failing write** ([`FaultyLevelStore`]): the Nth `put` into a
-//!   count-table level errors, as a full disk or yanked volume would —
-//!   proving write paths propagate the error instead of recording a
-//!   half-written artifact as good;
-//! - a **torn append** ([`torn_journal_append`]): a journal frame whose
-//!   tail never reached the disk, as a crash mid-`append` leaves behind —
-//!   proving recovery truncates back to the last durable record (the
-//!   offset a replica resumes from).
+//! crate's own unit tests share one honest way to simulate a **torn
+//! append** ([`torn_journal_append`]): a journal frame whose tail never
+//! reached the disk, as a crash mid-`append` leaves behind — proving
+//! recovery truncates back to the last durable record (the offset a
+//! replica resumes from). Failing writes need no fake: the build's
+//! write-error tests plant a directory where a level file must go.
 
 use bytes::BufMut;
 use motivo_core::checksum::crc32;
-use motivo_table::{LevelStore, Record, RecordHandle};
 use std::io;
 use std::path::Path;
-
-/// A [`LevelStore`] wrapper that injects an I/O error on the Nth write
-/// (1-based) and every write after it. Reads pass through untouched, so a
-/// test can verify that everything written *before* the fault is still
-/// served correctly.
-pub struct FaultyLevelStore<S: LevelStore> {
-    inner: S,
-    writes: u64,
-    fail_from: u64,
-}
-
-impl<S: LevelStore> FaultyLevelStore<S> {
-    /// Wraps `inner`, failing the `n`-th write and all later ones
-    /// (`n = 1` fails the very first write; `n = u64::MAX` never fails).
-    pub fn fail_from(inner: S, n: u64) -> FaultyLevelStore<S> {
-        FaultyLevelStore {
-            inner,
-            writes: 0,
-            fail_from: n,
-        }
-    }
-
-    /// How many writes were attempted (failed ones included).
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-}
-
-impl<S: LevelStore> LevelStore for FaultyLevelStore<S> {
-    fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
-        self.writes += 1;
-        if self.writes >= self.fail_from {
-            return Err(io::Error::other(format!(
-                "injected write fault on write {}",
-                self.writes
-            )));
-        }
-        self.inner.put(v, rec)
-    }
-
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
-        self.inner.get(v)
-    }
-
-    fn byte_size(&self) -> usize {
-        self.inner.byte_size()
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn seal(&mut self) -> io::Result<()> {
-        self.inner.seal()
-    }
-
-    fn num_vertices(&self) -> u32 {
-        self.inner.num_vertices()
-    }
-
-    fn scan(&self) -> motivo_table::LevelScan<'_> {
-        self.inner.scan()
-    }
-
-    fn profile(&self) -> motivo_table::LevelProfile {
-        self.inner.profile()
-    }
-}
 
 /// Appends a **torn** journal frame to the file at `path`: a frame for
 /// `payload` is built exactly as [`crate::Journal::append`] would
@@ -114,60 +40,6 @@ pub fn torn_journal_append(path: &Path, payload: &[u8], keep: usize) -> io::Resu
 mod tests {
     use super::*;
     use crate::journal::Journal;
-    use motivo_table::{CountTable, MemoryLevel, RecordCodec};
-
-    #[test]
-    fn faulty_level_fails_from_the_nth_write_onward() {
-        let mut level = FaultyLevelStore::fail_from(MemoryLevel::new(8, RecordCodec::Plain), 3);
-        let rec = |v: u32| {
-            let mut b = motivo_table::RecordBuilder::new();
-            b.add((v as u64 + 1) << 16 | 0b0011, v as u128 + 1);
-            b.freeze()
-        };
-        level.put(0, rec(0)).unwrap();
-        level.put(1, rec(1)).unwrap();
-        assert!(level.put(2, rec(2)).is_err(), "third write must fail");
-        assert!(level.put(3, rec(3)).is_err(), "and it stays failed");
-        assert_eq!(level.writes(), 4);
-        // What landed before the fault is intact and servable.
-        assert_eq!(level.record_count(), 2);
-        let table = CountTable::from_levels(vec![Box::new(level)], RecordCodec::Plain);
-        assert_eq!(table.level(1).record_count(), 2);
-    }
-
-    /// Fault injection composes with the block backend: writes before the
-    /// fault survive sealing (spills included) and are served back; the
-    /// fault itself surfaces as an error, never a silent half-level.
-    #[test]
-    fn faulty_block_level_serves_pre_fault_records_after_seal() {
-        let dir = std::env::temp_dir().join("motivo-store-testing-block");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let inner = motivo_table::BlockLevel::create(
-            dir.join("l.mtvb"),
-            16,
-            RecordCodec::Plain,
-            64, // tiny budget: the surviving puts spill at least once
-        )
-        .unwrap();
-        let mut level = FaultyLevelStore::fail_from(inner, 5);
-        let rec = |v: u32| {
-            let mut b = motivo_table::RecordBuilder::new();
-            b.add((v as u64 + 1) << 16 | 0b0011, v as u128 + 1);
-            b.freeze()
-        };
-        for v in 0..4u32 {
-            level.put(v, rec(v)).unwrap();
-        }
-        assert!(level.put(4, rec(4)).is_err(), "fifth write must fail");
-        level.seal().unwrap();
-        assert_eq!(level.record_count(), 4);
-        for v in 0..4u32 {
-            assert_eq!(level.get(v).unwrap().total(), rec(v).total());
-        }
-        assert!(level.get(4).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn torn_append_is_truncated_on_reopen() {

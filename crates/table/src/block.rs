@@ -1,6 +1,6 @@
 //! Sorted immutable block storage for one table level.
 //!
-//! A sealed [`BlockLevel`] is a single file of ~1 KiB *blocks*, each
+//! A sealed level is a single file of ~1 KiB *blocks*, each
 //! holding consecutive vertices' encoded records with delta-compressed
 //! vertex ids, followed by a per-block index (`first vertex, entry count,
 //! offset, length`) and a checksummed footer. The data region is mapped
@@ -18,12 +18,13 @@
 //! own inode. A file truncated by some other writer while mapped raises
 //! `SIGBUS` on the next read of a lost page, not an I/O error.
 //!
-//! The build path is LSM-shaped: [`LevelStore::put`] appends to a
+//! The build path is LSM-shaped: [`BlockBuilder::put`] appends to a
 //! byte-budgeted memtable; when the budget would be exceeded the memtable
-//! is sorted and spilled to a run file (see [`crate::merge`]); sealing
-//! k-way-merges every run plus the in-memory tail into the final block
-//! file. Peak build memory is therefore bounded by the budget no matter
-//! how large the level grows.
+//! is sorted and spilled to a run file (see [`crate::merge`]);
+//! [`BlockBuilder::seal`] consumes the builder, k-way-merges every run
+//! plus the in-memory tail into the final block file, and returns the
+//! read-only [`Level`]. Peak build memory is therefore bounded by the
+//! budget no matter how large the level grows.
 //!
 //! File layout (all integers little-endian):
 //!
@@ -40,10 +41,11 @@
 //! codecs unchanged. Readers accept any block size, so files written with
 //! an older, larger target keep opening.
 
+use crate::checksum::crc32;
 use crate::codec::{read_varint_u64, RecordCodec};
-use crate::merge::{crc32, MergeIter, RunReader, RunWriter};
+use crate::merge::{MergeIter, RunItem, RunReader, RunWriter};
 use crate::record::Record;
-use crate::storage::{LevelProfile, LevelScan, LevelStore, RecordHandle};
+use crate::storage::{Level, LevelScan, RecordHandle};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -340,11 +342,12 @@ pub struct SealedBlocks {
     file: File,
     data: Mmap,
     path: PathBuf,
-    codec: RecordCodec,
-    n: u32,
+    pub(crate) codec: RecordCodec,
+    /// Vertices the file was written for (its footer's `n`).
+    pub(crate) n: u32,
     index: Vec<BlockMeta>,
-    records: u32,
-    payload_bytes: u64,
+    pub(crate) records: u32,
+    pub(crate) payload_bytes: u64,
 }
 
 impl SealedBlocks {
@@ -420,8 +423,27 @@ impl SealedBlocks {
         &self.path
     }
 
+    /// Number of blocks in the file.
+    pub(crate) fn blocks(&self) -> u32 {
+        self.index.len() as u32
+    }
+
+    /// Whether `path` names the very file this handle reads: the same
+    /// device and inode, not merely an equal path string. `false` when
+    /// either side cannot be inspected.
+    pub(crate) fn is_at(&self, path: &Path) -> bool {
+        use std::os::unix::fs::MetadataExt;
+        match (self.file.metadata(), std::fs::metadata(path)) {
+            (Ok(open), Ok(named)) => open.dev() == named.dev() && open.ino() == named.ino(),
+            _ => false,
+        }
+    }
+
     /// Walks a block body, calling `f(vertex, payload)` per entry until it
-    /// returns `false`. Payloads borrow from `body`.
+    /// returns `false`. Payloads borrow from `body`. A vertex id at or
+    /// above the footer's `n` is refused: no checksum covers the footer,
+    /// and a reader must never hand out a vertex the level was not sized
+    /// for.
     fn walk<'b>(
         &self,
         m: &BlockMeta,
@@ -444,6 +466,13 @@ impl SealedBlocks {
                     .checked_add(delta as u32)
                     .ok_or_else(|| invalid("block vertex overflow"))?;
             }
+            if v >= self.n {
+                return Err(invalid(format!(
+                    "block vertex {v} out of range for {} vertices in {}",
+                    self.n,
+                    self.path.display()
+                )));
+            }
             if !f(v, &body[pos..pos + len])? {
                 return Ok(());
             }
@@ -464,7 +493,7 @@ impl SealedBlocks {
     /// One lookup: binary search of the index, then a walk of the block
     /// in place in the mapping (extents were checked when the handle was
     /// made).
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
+    pub(crate) fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
         let at = self.index.partition_point(|m| m.first_v <= v);
         if at == 0 {
             return Ok(RecordHandle::Owned(Record::default()));
@@ -489,7 +518,7 @@ impl SealedBlocks {
     /// least [`IO_RUN_BYTES`]. Scans do not go through the mapping: a
     /// mapped pass would leave every page of the file resident in this
     /// process.
-    fn scan(&self) -> LevelScan<'_> {
+    pub(crate) fn scan(&self) -> LevelScan<'_> {
         use std::os::unix::fs::FileExt;
         let mut next_block = 0usize;
         // The bytes of blocks up to `run_end`, read from file offset
@@ -533,50 +562,35 @@ impl SealedBlocks {
     }
 }
 
-#[derive(Default)]
-struct Building {
-    mem: Vec<(u32, Vec<u8>)>,
-    mem_bytes: usize,
-    runs: Vec<PathBuf>,
-    spill_runs: u32,
-    peak_mem_bytes: u64,
-    records: u32,
-    payload_bytes: u64,
-}
-
-enum State {
-    Building(Building),
-    Sealed {
-        blocks: SealedBlocks,
-        spill_runs: u32,
-        peak_mem_bytes: u64,
-    },
-}
-
-/// One table level backed by sorted immutable blocks, built through a
-/// byte-budgeted memtable with spill-and-merge (module docs).
-pub struct BlockLevel {
+/// One level under construction on block storage: a byte-budgeted
+/// memtable that spills sorted runs next to the level file (module docs).
+/// It only takes records; [`BlockBuilder::seal`] turns it into the
+/// read-only level.
+pub struct BlockBuilder {
     path: PathBuf,
     codec: RecordCodec,
     n: u32,
     mem_budget: usize,
-    state: State,
+    mem: Vec<(u32, Vec<u8>)>,
+    mem_bytes: usize,
+    runs: Vec<PathBuf>,
+    peak_mem_bytes: u64,
 }
 
-impl BlockLevel {
-    /// Creates a build-mode level writing to `path`. `mem_budget == 0`
-    /// means unbudgeted (a single sorted run in memory, no spills).
+impl BlockBuilder {
+    /// Starts a level that seals into `path`. `mem_budget == 0` means
+    /// unbudgeted (a single sorted run in memory, no spills).
     pub fn create<P: AsRef<Path>>(
         path: P,
         n: u32,
         codec: RecordCodec,
         mem_budget: usize,
-    ) -> io::Result<BlockLevel> {
+    ) -> io::Result<BlockBuilder> {
         let path = path.as_ref().to_path_buf();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        Ok(BlockLevel {
+        Ok(BlockBuilder {
             path,
             codec,
             n,
@@ -585,199 +599,91 @@ impl BlockLevel {
             } else {
                 mem_budget
             },
-            state: State::Building(Building::default()),
+            mem: Vec::new(),
+            mem_bytes: 0,
+            runs: Vec::new(),
+            peak_mem_bytes: 0,
         })
     }
 
-    /// Opens a sealed block file written by a previous build or
-    /// [`crate::CountTable::save_dir`].
-    pub fn open<P: AsRef<Path>>(path: P, codec: RecordCodec) -> io::Result<BlockLevel> {
-        let blocks = SealedBlocks::open(&path, codec)?;
-        Ok(BlockLevel {
-            path: path.as_ref().to_path_buf(),
-            codec,
-            n: blocks.n,
-            mem_budget: usize::MAX,
-            state: State::Sealed {
-                blocks,
-                spill_runs: 0,
-                peak_mem_bytes: 0,
-            },
-        })
-    }
-
-    /// Path of the backing block file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Codec the level's records are encoded under.
-    pub fn codec(&self) -> RecordCodec {
-        self.codec
-    }
-
-    fn run_path(&self, i: u32) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(format!(".run{i}"));
-        PathBuf::from(os)
-    }
-
-    fn spill(&mut self) -> io::Result<()> {
-        let run_path = {
-            let State::Building(b) = &self.state else {
-                unreachable!("spill outside build")
-            };
-            self.run_path(b.spill_runs)
-        };
-        let State::Building(b) = &mut self.state else {
-            unreachable!()
-        };
-        b.mem.sort_unstable_by_key(|e| e.0);
-        let mut w = RunWriter::create(&run_path)?;
-        for (v, payload) in &b.mem {
-            w.push(*v, payload)?;
-        }
-        b.runs.push(w.finish()?);
-        b.spill_runs += 1;
-        b.mem.clear();
-        b.mem_bytes = 0;
-        Ok(())
-    }
-}
-
-impl LevelStore for BlockLevel {
-    fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
+    /// Stores the completed record of `v`, re-sealed under the level's
+    /// codec if needed; empty records are dropped.
+    pub fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
         if rec.is_empty() {
             return Ok(());
         }
-        let codec = self.codec;
-        let budget = self.mem_budget;
-        let State::Building(b) = &mut self.state else {
-            return Err(invalid("put on a sealed block level"));
-        };
-        let rec = if rec.codec() == codec {
+        let rec = if rec.codec() == self.codec {
             rec
         } else {
-            rec.recode(codec)
+            rec.recode(self.codec)
         };
         let mut payload = Vec::with_capacity(rec.encoded_len());
         rec.encode(&mut payload);
         let cost = payload.len() + ENTRY_OVERHEAD;
-        if !b.mem.is_empty() && b.mem_bytes + cost > budget {
+        if !self.mem.is_empty() && self.mem_bytes + cost > self.mem_budget {
             self.spill()?;
         }
-        let State::Building(b) = &mut self.state else {
-            unreachable!()
-        };
-        b.mem_bytes += cost;
-        b.peak_mem_bytes = b.peak_mem_bytes.max(b.mem_bytes as u64);
-        b.records += 1;
-        b.payload_bytes += payload.len() as u64;
-        b.mem.push((v, payload));
+        self.mem_bytes += cost;
+        self.peak_mem_bytes = self.peak_mem_bytes.max(self.mem_bytes as u64);
+        self.mem.push((v, payload));
+        Ok(())
+    }
+
+    /// Sorts the memtable into the next run file `<path>.run<i>`. The run
+    /// is listed before a byte is written, so even a half-written run is
+    /// removed with the builder.
+    fn spill(&mut self) -> io::Result<()> {
+        let mut os = self.path.clone().into_os_string();
+        os.push(format!(".run{}", self.runs.len()));
+        let run = PathBuf::from(os);
+        self.runs.push(run.clone());
+        self.mem.sort_unstable_by_key(|e| e.0);
+        let mut w = RunWriter::create(run)?;
+        for (v, payload) in &self.mem {
+            w.push(*v, payload)?;
+        }
+        w.finish()?;
+        self.mem.clear();
+        self.mem_bytes = 0;
         Ok(())
     }
 
     /// Merges every spilled run plus the in-memory tail into the final
-    /// block file. Idempotent: sealing a sealed level is a no-op.
-    fn seal(&mut self) -> io::Result<()> {
-        let State::Building(_) = &self.state else {
-            return Ok(());
-        };
-        let placeholder = State::Building(Building::default());
-        let State::Building(mut b) = std::mem::replace(&mut self.state, placeholder) else {
-            unreachable!()
-        };
-        b.mem.sort_unstable_by_key(|e| e.0);
+    /// block file and returns it as a read-only level carrying this
+    /// build's spill history.
+    pub fn seal(mut self) -> io::Result<Level> {
+        let mut mem = std::mem::take(&mut self.mem);
+        mem.sort_unstable_by_key(|e| e.0);
         let mut writer = BlockWriter::create(&self.path, self.n, self.codec)?;
-        if b.runs.is_empty() {
-            for (v, payload) in &b.mem {
+        if self.runs.is_empty() {
+            for (v, payload) in &mem {
                 writer.add_encoded(*v, payload)?;
             }
         } else {
-            let mut runs: Vec<Box<dyn Iterator<Item = crate::merge::RunItem>>> =
-                Vec::with_capacity(b.runs.len() + 1);
-            for p in &b.runs {
+            let mut runs: Vec<Box<dyn Iterator<Item = RunItem>>> =
+                Vec::with_capacity(self.runs.len() + 1);
+            for p in &self.runs {
                 runs.push(Box::new(RunReader::open(p)?));
             }
-            runs.push(Box::new(b.mem.into_iter().map(Ok)));
+            runs.push(Box::new(mem.into_iter().map(Ok)));
             for item in MergeIter::new(runs)? {
                 let (v, payload) = item?;
                 writer.add_encoded(v, &payload)?;
             }
         }
-        let blocks = writer.finish()?;
-        for p in &b.runs {
-            std::fs::remove_file(p).ok();
-        }
-        self.state = State::Sealed {
-            blocks,
-            spill_runs: b.spill_runs,
-            peak_mem_bytes: b.peak_mem_bytes,
-        };
-        Ok(())
-    }
-
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
-        match &self.state {
-            State::Sealed { blocks, .. } => blocks.get(v),
-            State::Building(_) => Err(invalid("get on an unsealed block level")),
-        }
-    }
-
-    fn byte_size(&self) -> usize {
-        match &self.state {
-            State::Sealed { blocks, .. } => blocks.payload_bytes as usize,
-            State::Building(b) => b.payload_bytes as usize,
-        }
-    }
-
-    fn record_count(&self) -> usize {
-        match &self.state {
-            State::Sealed { blocks, .. } => blocks.records as usize,
-            State::Building(b) => b.records as usize,
-        }
-    }
-
-    fn num_vertices(&self) -> u32 {
-        self.n
-    }
-
-    fn scan(&self) -> LevelScan<'_> {
-        match &self.state {
-            State::Sealed { blocks, .. } => blocks.scan(),
-            State::Building(_) => Box::new(std::iter::once(Err(invalid(
-                "scan on an unsealed block level",
-            )))),
-        }
-    }
-
-    fn profile(&self) -> LevelProfile {
-        match &self.state {
-            State::Sealed {
-                blocks,
-                spill_runs,
-                peak_mem_bytes,
-            } => LevelProfile {
-                blocks: blocks.index.len() as u32,
-                spill_runs: *spill_runs,
-                peak_mem_bytes: *peak_mem_bytes,
-            },
-            State::Building(b) => LevelProfile {
-                blocks: 0,
-                spill_runs: b.spill_runs,
-                peak_mem_bytes: b.peak_mem_bytes,
-            },
-        }
+        Ok(Level::Block {
+            blocks: writer.finish()?,
+            spill_runs: self.runs.len() as u32,
+            peak_mem_bytes: self.peak_mem_bytes,
+        })
     }
 }
 
-impl Drop for BlockLevel {
+impl Drop for BlockBuilder {
     fn drop(&mut self) {
-        // An abandoned build leaves no run files behind.
-        if let State::Building(b) = &self.state {
-            for p in &b.runs {
-                std::fs::remove_file(p).ok();
-            }
+        // Sealed or abandoned, a builder leaves no run files behind.
+        for p in &self.runs {
+            std::fs::remove_file(p).ok();
         }
     }
 }
@@ -785,6 +691,7 @@ impl Drop for BlockLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageKind;
     use motivo_treelet::{path_treelet, star_treelet, ColorSet, ColoredTreelet};
 
     fn record_in(codec: RecordCodec, seed: u64) -> Record {
@@ -827,7 +734,25 @@ mod tests {
         Record::from_counts_in(codec, counts)
     }
 
-    fn contents(level: &dyn LevelStore) -> Vec<(u32, Vec<(ColoredTreelet, u128)>)> {
+    /// A block level builder sealing into `path`.
+    fn builder(path: &Path, n: u32, codec: RecordCodec, budget: usize) -> BlockBuilder {
+        BlockBuilder::create(path, n, codec, budget).unwrap()
+    }
+
+    fn open(path: &Path, codec: RecordCodec) -> Level {
+        Level::open(path, codec).unwrap()
+    }
+
+    /// The in-memory reference level holding `records`.
+    fn memory(n: u32, codec: RecordCodec, records: &[(u32, Record)]) -> Level {
+        let mut mem = StorageKind::Memory.create_level(1, n, codec).unwrap();
+        for (v, rec) in records {
+            mem.put(*v, rec.clone()).unwrap();
+        }
+        mem.seal().unwrap()
+    }
+
+    fn contents(level: &Level) -> Vec<(u32, Vec<(ColoredTreelet, u128)>)> {
         level
             .scan()
             .map(|item| {
@@ -838,7 +763,7 @@ mod tests {
     }
 
     /// `level` answers every point read and its scan exactly like `mem`.
-    fn assert_reads_like(level: &dyn LevelStore, mem: &crate::MemoryLevel) {
+    fn assert_reads_like(level: &Level, mem: &Level) {
         for v in 0..mem.num_vertices() {
             assert_eq!(
                 level.get(v).unwrap().iter().collect::<Vec<_>>(),
@@ -861,19 +786,14 @@ mod tests {
     fn unbudgeted_build_roundtrips_and_matches_memory() {
         for codec in RecordCodec::ALL {
             let dir = tmp(&format!("rt-{codec}"));
-            let mut blk = BlockLevel::create(dir.join("l.mtvb"), 40, codec, 0).unwrap();
-            let mut mem = crate::MemoryLevel::new(40, codec);
+            let mut blk = builder(&dir.join("l.mtvb"), 40, codec, 0);
+            let mut recs = Vec::new();
             for v in [3u32, 0, 17, 39, 9] {
                 blk.put(v, record_in(codec, v as u64)).unwrap();
-                mem.put(v, record_in(codec, v as u64)).unwrap();
+                recs.push((v, record_in(codec, v as u64)));
             }
-            assert!(blk.get(3).is_err(), "reads before seal must fail");
-            blk.seal().unwrap();
-            blk.seal().unwrap(); // idempotent
-            for v in 0..40u32 {
-                let (a, b) = (blk.get(v).unwrap(), mem.get(v).unwrap());
-                assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
-            }
+            let blk = blk.seal().unwrap();
+            assert_reads_like(&blk, &memory(40, codec, &recs));
             assert_eq!(blk.record_count(), 5);
             assert_eq!(blk.profile().spill_runs, 0);
             assert!(blk.profile().blocks >= 1);
@@ -888,25 +808,18 @@ mod tests {
         for codec in RecordCodec::ALL {
             let dir = tmp(&format!("spill-{codec}"));
             // ~100 B budget on ~60 B entries: spills every other put.
-            let mut blk = BlockLevel::create(dir.join("l.mtvb"), 200, codec, 100).unwrap();
-            let mut mem = crate::MemoryLevel::new(200, codec);
+            let mut blk = builder(&dir.join("l.mtvb"), 200, codec, 100);
+            let mut recs = Vec::new();
             // Unsorted arrival order exercises run-sorting and the merge.
             for v in (0..200u32).map(|i| (i * 73) % 200) {
                 blk.put(v, record_in(codec, v as u64)).unwrap();
-                mem.put(v, record_in(codec, v as u64)).unwrap();
+                recs.push((v, record_in(codec, v as u64)));
             }
-            let spills_before = blk.profile().spill_runs;
-            assert!(spills_before >= 2, "want ≥2 spills, got {spills_before}");
+            let blk = blk.seal().unwrap();
+            let spills = blk.profile().spill_runs;
+            assert!(spills >= 2, "want ≥2 spills, got {spills}");
             assert!(blk.profile().peak_mem_bytes <= 200, "budget respected");
-            blk.seal().unwrap();
-            assert_eq!(blk.profile().spill_runs, spills_before);
-            for v in 0..200u32 {
-                assert_eq!(
-                    blk.get(v).unwrap().iter().collect::<Vec<_>>(),
-                    mem.get(v).unwrap().iter().collect::<Vec<_>>(),
-                    "vertex {v}"
-                );
-            }
+            assert_reads_like(&blk, &memory(200, codec, &recs));
             // Run files are cleaned up after the merge.
             let runs: Vec<_> = std::fs::read_dir(&dir)
                 .unwrap()
@@ -918,21 +831,36 @@ mod tests {
         }
     }
 
+    /// A builder dropped before it seals (a failed build) removes the runs
+    /// it spilled, and writes no level file.
+    #[test]
+    fn abandoned_builder_leaves_no_runs() {
+        let dir = tmp("abandoned");
+        let codec = RecordCodec::Plain;
+        let mut blk = builder(&dir.join("l.mtvb"), 50, codec, 100);
+        for v in 0..50u32 {
+            blk.put(v, record_in(codec, v as u64)).unwrap();
+        }
+        assert!(std::fs::read_dir(&dir).unwrap().count() >= 2, "spilled");
+        drop(blk);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn budgeted_and_unbudgeted_block_files_are_byte_identical() {
         let dir = tmp("identical");
         for codec in RecordCodec::ALL {
             let a_path = dir.join(format!("a-{codec}.mtvb"));
             let b_path = dir.join(format!("b-{codec}.mtvb"));
-            let mut a = BlockLevel::create(&a_path, 300, codec, 0).unwrap();
-            let mut b = BlockLevel::create(&b_path, 300, codec, 128).unwrap();
+            let mut a = builder(&a_path, 300, codec, 0);
+            let mut b = builder(&b_path, 300, codec, 128);
             for v in (0..300u32).rev() {
                 a.put(v, record_in(codec, v as u64 * 7)).unwrap();
                 b.put(v, record_in(codec, v as u64 * 7)).unwrap();
             }
             a.seal().unwrap();
-            b.seal().unwrap();
-            assert!(b.profile().spill_runs >= 2);
+            assert!(b.seal().unwrap().profile().spill_runs >= 2);
             let (fa, fb) = (
                 std::fs::read(&a_path).unwrap(),
                 std::fs::read(&b_path).unwrap(),
@@ -946,26 +874,21 @@ mod tests {
     fn reopen_matches_and_torn_files_are_rejected() {
         let dir = tmp("reopen");
         let path = dir.join("l.mtvb");
-        let mut blk = BlockLevel::create(&path, 50, RecordCodec::Succinct, 0).unwrap();
+        let codec = RecordCodec::Succinct;
+        let mut blk = builder(&path, 50, codec, 0);
         for v in 0..50u32 {
-            blk.put(v, record_in(RecordCodec::Succinct, v as u64))
-                .unwrap();
+            blk.put(v, record_in(codec, v as u64)).unwrap();
         }
-        blk.seal().unwrap();
-        let back = BlockLevel::open(&path, RecordCodec::Succinct).unwrap();
+        let blk = blk.seal().unwrap();
+        let back = open(&path, codec);
         assert_eq!(back.record_count(), 50);
-        for v in 0..50u32 {
-            assert_eq!(
-                back.get(v).unwrap().iter().collect::<Vec<_>>(),
-                blk.get(v).unwrap().iter().collect::<Vec<_>>()
-            );
-        }
+        assert_reads_like(&back, &blk);
         drop(back);
         let full = std::fs::read(&path).unwrap();
         for cut in [1usize, 10, full.len() / 2] {
             std::fs::write(&path, &full[..full.len() - cut]).unwrap();
             assert!(
-                BlockLevel::open(&path, RecordCodec::Succinct).is_err(),
+                SealedBlocks::open(&path, codec).is_err(),
                 "truncated by {cut} must be rejected"
             );
         }
@@ -974,8 +897,35 @@ mod tests {
         let idx_start = flipped.len() - 28 - 20; // one block min
         flipped[idx_start] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(BlockLevel::open(&path, RecordCodec::Succinct).is_err());
+        assert!(SealedBlocks::open(&path, codec).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// No checksum covers the footer, so a lowered vertex count `n` opens;
+    /// every read that meets a vertex at or above it is then an error,
+    /// never a vertex the level was not sized for.
+    #[test]
+    fn vertices_beyond_the_footer_count_are_refused() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("footer-n-{codec}"));
+            let path = dir.join("l.mtvb");
+            let mut blk = builder(&path, 40, codec, 0);
+            for v in 0..40u32 {
+                blk.put(v, record_in(codec, v as u64)).unwrap();
+            }
+            drop(blk.seal().unwrap());
+            let mut bytes = std::fs::read(&path).unwrap();
+            let footer = bytes.len() - FOOTER_LEN as usize;
+            bytes[footer..footer + 4].copy_from_slice(&4u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let level = open(&path, codec);
+            assert_eq!(level.num_vertices(), 4);
+            assert!(level.get(39).is_err(), "{codec}: vertex 39 of 4");
+            let scan: Vec<_> = level.scan().collect();
+            assert!(scan.iter().any(Result::is_err), "{codec}: scan");
+            assert!(scan.iter().flatten().all(|(v, _)| *v < 4));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -983,7 +933,7 @@ mod tests {
         // Big records force several blocks; lookups must hit the right one.
         let dir = tmp("multiblock");
         let codec = RecordCodec::Plain;
-        let mut blk = BlockLevel::create(dir.join("l.mtvb"), 5000, codec, 0).unwrap();
+        let mut blk = builder(&dir.join("l.mtvb"), 5000, codec, 0);
         let big: Vec<(u64, u128)> = {
             use motivo_treelet::all_treelets;
             let mut keys = Vec::new();
@@ -1003,7 +953,7 @@ mod tests {
             blk.put(v, Record::from_counts_in(codec, big.clone()))
                 .unwrap();
         }
-        blk.seal().unwrap();
+        let blk = blk.seal().unwrap();
         assert!(
             blk.profile().blocks > 10,
             "blocks: {}",
@@ -1025,26 +975,27 @@ mod tests {
         for codec in RecordCodec::ALL {
             let dir = tmp(&format!("reseal-{codec}"));
             let path = dir.join("l.mtvb");
-            let mut first = BlockLevel::create(&path, 100, codec, 0).unwrap();
-            let mut mem = crate::MemoryLevel::new(100, codec);
+            let mut first = builder(&path, 100, codec, 0);
+            let mut recs = Vec::new();
             for v in 0..100u32 {
                 first.put(v, record_in(codec, v as u64)).unwrap();
-                mem.put(v, record_in(codec, v as u64)).unwrap();
+                recs.push((v, record_in(codec, v as u64)));
             }
-            first.seal().unwrap();
-            let reopened = BlockLevel::open(&path, codec).unwrap();
+            let first = first.seal().unwrap();
+            let reopened = open(&path, codec);
             // Seal other records at the same path while both handles live.
-            let mut second = BlockLevel::create(&path, 100, codec, 0).unwrap();
-            let mut mem2 = crate::MemoryLevel::new(100, codec);
+            let mut second = builder(&path, 100, codec, 0);
+            let mut recs2 = Vec::new();
             for v in (0..100u32).step_by(3) {
                 second.put(v, big_record_in(codec, v as u64)).unwrap();
-                mem2.put(v, big_record_in(codec, v as u64)).unwrap();
+                recs2.push((v, big_record_in(codec, v as u64)));
             }
-            second.seal().unwrap();
+            let second = second.seal().unwrap();
+            let (mem, mem2) = (memory(100, codec, &recs), memory(100, codec, &recs2));
             assert_reads_like(&first, &mem);
             assert_reads_like(&reopened, &mem);
             assert_reads_like(&second, &mem2);
-            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem2);
+            assert_reads_like(&open(&path, codec), &mem2);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1054,14 +1005,14 @@ mod tests {
         for codec in RecordCodec::ALL {
             let dir = tmp(&format!("empty-{codec}"));
             let path = dir.join("l.mtvb");
-            let mut blk = BlockLevel::create(&path, 30, codec, 0).unwrap();
+            let mut blk = builder(&path, 30, codec, 0);
             blk.put(4, Record::default()).unwrap(); // empty records are dropped
-            blk.seal().unwrap();
-            let mem = crate::MemoryLevel::new(30, codec);
+            let blk = blk.seal().unwrap();
+            let mem = memory(30, codec, &[]);
             assert_eq!(blk.profile().blocks, 0);
             assert_eq!(std::fs::metadata(&path).unwrap().len(), FOOTER_LEN);
             assert_reads_like(&blk, &mem);
-            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem);
+            assert_reads_like(&open(&path, codec), &mem);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1071,8 +1022,8 @@ mod tests {
         for codec in RecordCodec::ALL {
             let dir = tmp(&format!("oversized-{codec}"));
             let path = dir.join("l.mtvb");
-            let mut blk = BlockLevel::create(&path, 60, codec, 0).unwrap();
-            let mut mem = crate::MemoryLevel::new(60, codec);
+            let mut blk = builder(&path, 60, codec, 0);
+            let mut recs = Vec::new();
             for v in 0..60u32 {
                 // Oversized records between runs of small ones, and two
                 // oversized neighbours at the end.
@@ -1083,11 +1034,12 @@ mod tests {
                 };
                 assert!(v % 7 != 3 || rec.encoded_len() > BLOCK_TARGET_BYTES);
                 blk.put(v, rec.clone()).unwrap();
-                mem.put(v, rec).unwrap();
+                recs.push((v, rec));
             }
-            blk.seal().unwrap();
+            let blk = blk.seal().unwrap();
+            let mem = memory(60, codec, &recs);
             assert_reads_like(&blk, &mem);
-            assert_reads_like(&BlockLevel::open(&path, codec).unwrap(), &mem);
+            assert_reads_like(&open(&path, codec), &mem);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1101,7 +1053,7 @@ mod tests {
             let dir = tmp(&format!("flip-{codec}"));
             let path = dir.join("l.mtvb");
             let n = 30u32;
-            let mut blk = BlockLevel::create(&path, n, codec, 0).unwrap();
+            let mut blk = builder(&path, n, codec, 0);
             for v in 0..n {
                 let rec = if v % 10 == 4 {
                     big_record_in(codec, v as u64)
@@ -1110,7 +1062,7 @@ mod tests {
                 };
                 blk.put(v, rec).unwrap();
             }
-            blk.seal().unwrap();
+            let blk = blk.seal().unwrap();
             let index_len = blk.profile().blocks as u64 * INDEX_ENTRY_LEN;
             drop(blk);
             let clean = std::fs::read(&path).unwrap();
@@ -1123,7 +1075,7 @@ mod tests {
                 bytes[at] ^= mask;
                 std::fs::write(&path, &bytes).unwrap();
                 let reads = std::panic::catch_unwind(|| {
-                    let level = BlockLevel::open(&path, codec).expect("the index is intact");
+                    let level = open(&path, codec);
                     let gets = (0..n).map(|v| level.get(v).map(drop));
                     let scan = level.scan().map(|item| item.map(drop));
                     gets.chain(scan).filter(Result::is_err).count()
@@ -1148,7 +1100,7 @@ mod tests {
                 .unwrap()
                 .with_target(16 * 1024);
             let mut w_cur = BlockWriter::create(&cur, 3000, codec).unwrap();
-            let mut mem = crate::MemoryLevel::new(3000, codec);
+            let mut recs = Vec::new();
             for v in (0..3000u32).filter(|v| v % 5 != 1) {
                 let rec = if v % 97 == 0 {
                     big_record_in(codec, v as u64)
@@ -1157,7 +1109,7 @@ mod tests {
                 };
                 w_old.add(v, &rec).unwrap();
                 w_cur.add(v, &rec).unwrap();
-                mem.put(v, rec).unwrap();
+                recs.push((v, rec));
             }
             let (old_blocks, cur_blocks) = (
                 w_old.finish().unwrap().index.len(),
@@ -1167,10 +1119,11 @@ mod tests {
                 old_blocks * 8 < cur_blocks,
                 "{codec}: {old_blocks} old vs {cur_blocks} current blocks"
             );
-            let reopened = BlockLevel::open(&old, codec).unwrap();
+            let mem = memory(3000, codec, &recs);
+            let reopened = open(&old, codec);
             assert_eq!(reopened.profile().blocks as usize, old_blocks);
             assert_reads_like(&reopened, &mem);
-            assert_reads_like(&BlockLevel::open(&cur, codec).unwrap(), &mem);
+            assert_reads_like(&open(&cur, codec), &mem);
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -1,28 +1,30 @@
-//! CRC32 (IEEE 802.3, the zlib/gzip polynomial) for integrity-checking
-//! persisted artifacts: the urn metadata written by [`crate::persist`] and
-//! the manifest/journal records of `motivo-store`. Table-driven, one table
-//! built at first use.
+//! CRC32 (IEEE 802.3, the zlib/gzip polynomial): the one implementation
+//! behind every checksum the workspace persists — block indexes and run
+//! frames here, the urn metadata of `motivo-core`, and the journal,
+//! manifest and replication frames of `motivo-store` (re-exported as
+//! `motivo_core::checksum`). Table-driven with the table built at compile
+//! time: a block index holds one entry per 1 KiB block, so the bitwise
+//! loop would cost milliseconds per level.
 
-use std::sync::OnceLock;
-
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+const TABLE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
-}
+        t[i] = c;
+        i += 1;
+    }
+    t
+};
 
 /// An incremental CRC32 accumulator.
 #[derive(Clone, Debug)]
@@ -43,9 +45,8 @@ impl Crc32 {
 
     /// Folds `data` into the running checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
         for &b in data {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+            self.state = TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
         }
     }
 

@@ -20,30 +20,35 @@
 //! paper's `Succinct` layout — varint key deltas plus varint counts with
 //! sparse cumulative anchors — which answers the same queries from a
 //! fraction of the bytes. [`storage`] provides the two backends:
-//! in-memory, and [`block`], the one writer of level files. A block level
-//! takes each completed record out of the builder's hands at once (the
-//! "greedy flushing" of §3.1) into a byte-budgeted memtable that spills
-//! sorted runs and merges them ([`merge`]) into sorted immutable ~1 KiB
-//! blocks, bounding peak build memory for out-of-core builds; sealed
-//! levels are read back through a read-only memory map (§3.3).
-//! Directories written before block storage still open, read-only.
-//! [`alias`] implements Vose's alias method used to draw the root vertex
-//! in `O(1)` (§3.3).
+//! in-memory, and [`block`], the one writer of level files. A level is
+//! built by a [`LevelBuilder`], which only takes records, and sealed once
+//! into a read-only [`Level`]. A block builder takes each completed
+//! record out of the DP's hands at once (the "greedy flushing" of §3.1)
+//! into a byte-budgeted memtable that spills sorted runs and merges them
+//! ([`merge`]) into sorted immutable ~1 KiB blocks, bounding peak build
+//! memory for out-of-core builds; sealed levels are read back through a
+//! read-only memory map (§3.3). [`alias`] implements Vose's alias method
+//! used to draw the root vertex in `O(1)` (§3.3). [`checksum`] is the
+//! workspace's one CRC32.
 
 pub mod alias;
 pub mod block;
 pub mod builder;
+pub mod checksum;
 pub mod codec;
 pub mod merge;
 pub mod record;
 pub mod storage;
 
 pub use alias::AliasTable;
-pub use block::{BlockLevel, BlockWriter, BLOCK_TARGET_BYTES, DEFAULT_BUILD_MEM_BYTES};
+pub use block::{
+    BlockBuilder, BlockWriter, SealedBlocks, BLOCK_TARGET_BYTES, DEFAULT_BUILD_MEM_BYTES,
+};
 pub use builder::RecordBuilder;
 pub use codec::RecordCodec;
 pub use merge::{MergeIter, RunReader, RunWriter};
 pub use record::Record;
 pub use storage::{
-    CountTable, LevelProfile, LevelScan, LevelStore, MemoryLevel, RecordHandle, StorageKind,
+    CountTable, Level, LevelBuilder, LevelProfile, LevelScan, MemoryLevel, RecordHandle,
+    StorageKind,
 };

@@ -1,6 +1,6 @@
 //! Sorted-run files and the k-way streaming merge that compacts them.
 //!
-//! When a [`crate::BlockLevel`] build exceeds its memtable budget it spills
+//! When a [`crate::BlockBuilder`] exceeds its memtable budget it spills
 //! the sorted memtable to a *run file* and continues; sealing the level
 //! merges every run (plus the final in-memory tail) into the immutable
 //! block file with [`MergeIter`], a streaming k-way merge. Peak memory is
@@ -18,44 +18,14 @@
 //! The end marker is mandatory: a reader that hits EOF without it reports
 //! the run as torn, so a crash mid-spill can never serve partial data.
 
+use crate::checksum::crc32;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub(crate) const RUN_MAGIC: &[u8; 4] = b"MTVR";
 pub(crate) const RUN_VERSION: u32 = 1;
 const END_SENTINEL: u32 = u32::MAX;
-
-/// CRC32 (IEEE 802.3), table-driven: block indexes hold one entry per
-/// 1 KiB block, so the bitwise loop would cost milliseconds per level.
-/// Private copy: `motivo-core` owns the shared one but depends on this
-/// crate, so the table layer keeps its own.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                bit += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    };
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in data {
-        state = TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state ^ 0xFFFF_FFFF
-}
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -69,21 +39,18 @@ pub type RunItem = io::Result<(u32, Vec<u8>)>;
 /// vertex order, finished by an end marker.
 pub struct RunWriter {
     out: BufWriter<File>,
-    path: PathBuf,
     frames: u32,
     last_v: Option<u32>,
 }
 
 impl RunWriter {
-    pub fn create(path: impl Into<PathBuf>) -> io::Result<RunWriter> {
-        let path = path.into();
-        let file = File::create(&path)?;
+    pub fn create(path: impl AsRef<Path>) -> io::Result<RunWriter> {
+        let file = File::create(path)?;
         let mut out = BufWriter::new(file);
         out.write_all(RUN_MAGIC)?;
         out.write_all(&RUN_VERSION.to_le_bytes())?;
         Ok(RunWriter {
             out,
-            path,
             frames: 0,
             last_v: None,
         })
@@ -110,14 +77,13 @@ impl RunWriter {
     }
 
     /// Writes the end marker and flushes; without it the run reads as torn.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
+    pub fn finish(mut self) -> io::Result<()> {
         let count = self.frames;
         self.out.write_all(&END_SENTINEL.to_le_bytes())?;
         self.out.write_all(&count.to_le_bytes())?;
         self.out
             .write_all(&crc32(&count.to_le_bytes()).to_le_bytes())?;
-        self.out.flush()?;
-        Ok(self.path)
+        self.out.flush()
     }
 }
 
@@ -322,16 +288,6 @@ mod tests {
 
     fn collect(m: MergeIter<impl Iterator<Item = io::Result<(u32, Vec<u8>)>>>) -> Vec<(u32, u8)> {
         m.map(|r| r.unwrap()).map(|(v, p)| (v, p[0])).collect()
-    }
-
-    #[test]
-    fn crc32_matches_the_standard_check_values() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 
     #[test]

@@ -5,15 +5,20 @@
 //! completion it is stored on disk in the compact form … The hash table is
 //! then emptied and memory released", so the table never fully resides in
 //! main memory; lower levels are later read back through memory-mapped I/O
-//! (§3.3). There are two backends: [`MemoryLevel`], and [`crate::block`],
-//! the only writer of level files. A block level's byte-budgeted memtable
-//! spills sorted runs and merges them into the sealed file — the paper's
-//! external sort pass — and a sealed level maps its data region and
-//! serves point reads in place.
+//! (§3.3). A level therefore has two phases, and each is its own type:
+//!
+//! - a [`LevelBuilder`] only takes records: either the in-memory record
+//!   vector, or [`crate::block`]'s byte-budgeted memtable, which spills
+//!   sorted runs — the paper's external sort pass;
+//! - [`LevelBuilder::seal`] consumes it and returns a read-only [`Level`]:
+//!   the same records in memory, or the merged block file, mapped for
+//!   point reads. A block file is written once, when its level seals.
 //!
 //! `CountTable::open_dir` reads exactly what `save_dir` writes:
 //! `table.meta` v3 and one block file per level. A directory of an older
 //! version is refused with an error naming that version; rebuild it.
+//! `save_dir` leaves a level that is already sealed at its destination
+//! as it is.
 //!
 //! Every level and the assembled [`CountTable`] carry the [`RecordCodec`]
 //! their records are sealed under; `byte_size` reports the true encoded
@@ -22,6 +27,7 @@
 //! (`io::Result`): an I/O error propagates to the build/persist caller
 //! instead of aborting the process.
 
+use crate::block::{BlockBuilder, BlockWriter, SealedBlocks};
 use crate::codec::RecordCodec;
 use crate::record::Record;
 use std::io;
@@ -58,7 +64,7 @@ pub type LevelScan<'a> = Box<dyn Iterator<Item = io::Result<(u32, RecordHandle<'
 /// and the bench gate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LevelProfile {
-    /// Number of storage blocks (0 for non-block backends).
+    /// Number of storage blocks (0 for in-memory levels).
     pub blocks: u32,
     /// Budget-triggered memtable spills during the build.
     pub spill_runs: u32,
@@ -66,42 +72,8 @@ pub struct LevelProfile {
     pub peak_mem_bytes: u64,
 }
 
-/// One level (treelet size) of the count table.
-pub trait LevelStore: Send + Sync {
-    /// Stores the completed record of vertex `v` (called once per vertex).
-    fn put(&mut self, v: u32, rec: Record) -> io::Result<()>;
-
-    /// Fetches the record of `v`; an empty record if `v` stored none.
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>>;
-
-    /// Marks the level complete: no more puts will arrive. Backends that
-    /// stage writes (the block level's memtable and spill runs) compact
-    /// here; for everything else this is a no-op. Idempotent.
-    fn seal(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Total size of the level's payload in bytes (encoded form).
-    fn byte_size(&self) -> usize;
-
-    /// Number of non-empty records.
-    fn record_count(&self) -> usize;
-
-    /// Number of vertices the level was sized for.
-    fn num_vertices(&self) -> u32;
-
-    /// Streams non-empty `(vertex, record)` pairs in ascending vertex
-    /// order.
-    fn scan(&self) -> LevelScan<'_>;
-
-    /// Build-shape telemetry; defaults to all-zeros for backends without
-    /// blocks or spills.
-    fn profile(&self) -> LevelProfile {
-        LevelProfile::default()
-    }
-}
-
-/// In-memory level: a dense vector of records sealed under one codec.
+/// In-memory records of one level: a dense vector sealed under one codec.
+/// The same value is first the builder and then the sealed level.
 pub struct MemoryLevel {
     records: Vec<Option<Record>>,
     codec: RecordCodec,
@@ -110,9 +82,7 @@ pub struct MemoryLevel {
 }
 
 impl MemoryLevel {
-    /// An empty level for `n` vertices whose records are sealed under
-    /// `codec`.
-    pub fn new(n: u32, codec: RecordCodec) -> MemoryLevel {
+    fn new(n: u32, codec: RecordCodec) -> MemoryLevel {
         MemoryLevel {
             records: vec![None; n as usize],
             codec,
@@ -121,19 +91,12 @@ impl MemoryLevel {
         }
     }
 
-    /// Codec the level's records are sealed under.
-    pub fn codec(&self) -> RecordCodec {
-        self.codec
-    }
-}
-
-impl LevelStore for MemoryLevel {
-    fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
+    fn put(&mut self, v: u32, rec: Record) {
         if rec.is_empty() {
-            return Ok(());
+            return;
         }
-        // Re-seal a record arriving under the wrong codec, mirroring
-        // BlockLevel: otherwise the level's byte accounting (and the
+        // Re-seal a record arriving under the wrong codec, as the block
+        // builder does: otherwise the level's byte accounting (and the
         // table's advertised codec) would silently disagree with its
         // contents. The common same-codec case passes through untouched.
         let rec = if rec.codec() == self.codec {
@@ -145,33 +108,125 @@ impl LevelStore for MemoryLevel {
         self.count += 1;
         debug_assert!(self.records[v as usize].is_none(), "record stored twice");
         self.records[v as usize] = Some(rec);
-        Ok(())
+    }
+}
+
+/// One level (treelet size) under construction. It only takes records;
+/// [`LevelBuilder::seal`] turns it into the read-only [`Level`].
+pub enum LevelBuilder {
+    /// Records held in RAM.
+    Memory(MemoryLevel),
+    /// A byte-budgeted memtable with its spill runs (`crate::block`).
+    Block(BlockBuilder),
+}
+
+impl LevelBuilder {
+    /// Stores the completed record of `v` (called once per vertex).
+    pub fn put(&mut self, v: u32, rec: Record) -> io::Result<()> {
+        match self {
+            LevelBuilder::Memory(m) => {
+                m.put(v, rec);
+                Ok(())
+            }
+            LevelBuilder::Block(b) => b.put(v, rec),
+        }
     }
 
-    fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
-        Ok(match &self.records[v as usize] {
-            Some(r) => RecordHandle::Borrowed(r),
-            None => RecordHandle::Owned(Record::default()),
+    /// Completes the level: no more records arrive. A block builder
+    /// merges its memtable and spill runs into the level file here.
+    pub fn seal(self) -> io::Result<Level> {
+        match self {
+            LevelBuilder::Memory(m) => Ok(Level::Memory(m)),
+            LevelBuilder::Block(b) => b.seal(),
+        }
+    }
+}
+
+/// One sealed level of the count table: read-only.
+pub enum Level {
+    /// Records held in RAM.
+    Memory(MemoryLevel),
+    /// A mapped block file, with the spill history of the build that
+    /// sealed it (zeros for a file reopened from disk).
+    Block {
+        blocks: SealedBlocks,
+        spill_runs: u32,
+        peak_mem_bytes: u64,
+    },
+}
+
+impl Level {
+    /// Opens the block file at `path`, written under `codec`.
+    pub(crate) fn open(path: &Path, codec: RecordCodec) -> io::Result<Level> {
+        Ok(Level::Block {
+            blocks: SealedBlocks::open(path, codec)?,
+            spill_runs: 0,
+            peak_mem_bytes: 0,
         })
     }
 
-    fn byte_size(&self) -> usize {
-        self.bytes
+    /// Fetches the record of `v`; an empty record if `v` stored none.
+    #[inline]
+    pub fn get(&self, v: u32) -> io::Result<RecordHandle<'_>> {
+        match self {
+            Level::Memory(m) => Ok(match &m.records[v as usize] {
+                Some(r) => RecordHandle::Borrowed(r),
+                None => RecordHandle::Owned(Record::default()),
+            }),
+            Level::Block { blocks, .. } => blocks.get(v),
+        }
     }
 
-    fn record_count(&self) -> usize {
-        self.count
+    /// Streams non-empty `(vertex, record)` pairs in ascending vertex
+    /// order.
+    pub fn scan(&self) -> LevelScan<'_> {
+        match self {
+            Level::Memory(m) => Box::new(m.records.iter().enumerate().filter_map(|(v, r)| {
+                r.as_ref()
+                    .map(|rec| Ok((v as u32, RecordHandle::Borrowed(rec))))
+            })),
+            Level::Block { blocks, .. } => blocks.scan(),
+        }
     }
 
-    fn num_vertices(&self) -> u32 {
-        self.records.len() as u32
+    /// Total size of the level's payload in bytes (encoded form).
+    pub fn byte_size(&self) -> usize {
+        match self {
+            Level::Memory(m) => m.bytes,
+            Level::Block { blocks, .. } => blocks.payload_bytes as usize,
+        }
     }
 
-    fn scan(&self) -> LevelScan<'_> {
-        Box::new(self.records.iter().enumerate().filter_map(|(v, r)| {
-            r.as_ref()
-                .map(|rec| Ok((v as u32, RecordHandle::Borrowed(rec))))
-        }))
+    /// Number of non-empty records.
+    pub fn record_count(&self) -> usize {
+        match self {
+            Level::Memory(m) => m.count,
+            Level::Block { blocks, .. } => blocks.records as usize,
+        }
+    }
+
+    /// Number of vertices the level was sized for.
+    pub fn num_vertices(&self) -> u32 {
+        match self {
+            Level::Memory(m) => m.records.len() as u32,
+            Level::Block { blocks, .. } => blocks.n,
+        }
+    }
+
+    /// Block count and build history; all zeros for an in-memory level.
+    pub fn profile(&self) -> LevelProfile {
+        match self {
+            Level::Memory(_) => LevelProfile::default(),
+            Level::Block {
+                blocks,
+                spill_runs,
+                peak_mem_bytes,
+            } => LevelProfile {
+                blocks: blocks.blocks(),
+                spill_runs: *spill_runs,
+                peak_mem_bytes: *peak_mem_bytes,
+            },
+        }
     }
 }
 
@@ -193,25 +248,14 @@ pub enum StorageKind {
 }
 
 impl StorageKind {
-    /// Creates an empty level for treelet size `h` over `n` vertices,
+    /// Starts an empty level for treelet size `h` over `n` vertices,
     /// storing records sealed under `codec`.
-    pub fn create_level(
-        &self,
-        h: u32,
-        n: u32,
-        codec: RecordCodec,
-    ) -> io::Result<Box<dyn LevelStore>> {
+    pub fn create_level(&self, h: u32, n: u32, codec: RecordCodec) -> io::Result<LevelBuilder> {
         match self {
-            StorageKind::Memory => Ok(Box::new(MemoryLevel::new(n, codec))),
-            StorageKind::Block { dir, mem_budget } => {
-                std::fs::create_dir_all(dir)?;
-                Ok(Box::new(crate::block::BlockLevel::create(
-                    dir.join(format!("level-{h}.mtvb")),
-                    n,
-                    codec,
-                    *mem_budget,
-                )?))
-            }
+            StorageKind::Memory => Ok(LevelBuilder::Memory(MemoryLevel::new(n, codec))),
+            StorageKind::Block { dir, mem_budget } => Ok(LevelBuilder::Block(
+                BlockBuilder::create(dir.join(format!("level-{h}.mtvb")), n, codec, *mem_budget)?,
+            )),
         }
     }
 }
@@ -220,19 +264,19 @@ impl StorageKind {
 pub struct CountTable {
     k: u32,
     codec: RecordCodec,
-    levels: Vec<Box<dyn LevelStore>>,
+    levels: Vec<Level>,
     /// Budget-triggered memtable spills per level during the build
-    /// (index 0 = size 1); all zeros for non-block backends.
+    /// (index 0 = size 1); all zeros for in-memory builds.
     spill_runs: Vec<u32>,
     /// High-water mark of any level's build memtable, in bytes.
     peak_mem_bytes: u64,
 }
 
 impl CountTable {
-    /// Assembles a table from per-size levels (index 0 = size 1), all
-    /// holding records sealed under `codec`. Build history (spills, peak
-    /// memtable) is collected from the levels' [`LevelStore::profile`].
-    pub fn from_levels(levels: Vec<Box<dyn LevelStore>>, codec: RecordCodec) -> CountTable {
+    /// Assembles a table from sealed per-size levels (index 0 = size 1),
+    /// all holding records sealed under `codec`. Build history (spills,
+    /// peak memtable) is collected from the levels' [`Level::profile`].
+    pub fn from_levels(levels: Vec<Level>, codec: RecordCodec) -> CountTable {
         assert!(!levels.is_empty());
         let spill_runs = levels.iter().map(|l| l.profile().spill_runs).collect();
         let peak_mem_bytes = levels
@@ -280,9 +324,9 @@ impl CountTable {
         self.levels[h as usize - 1].get(v)
     }
 
-    /// The level store for size `h`.
-    pub fn level(&self, h: u32) -> &dyn LevelStore {
-        self.levels[h as usize - 1].as_ref()
+    /// The sealed level for size `h`.
+    pub fn level(&self, h: u32) -> &Level {
+        &self.levels[h as usize - 1]
     }
 
     /// Total payload bytes across all levels (encoded form — what the
@@ -298,23 +342,28 @@ impl CountTable {
 
     /// Persists the whole table into `dir` (one sorted-block file per
     /// level, plus `table.meta` v3), so it can be reopened with
-    /// [`CountTable::open_dir`]. Every level streams through
-    /// [`LevelStore::scan`] into a block writer; records are re-sealed
-    /// under the table's codec if a level disagrees.
+    /// [`CountTable::open_dir`]. A level whose sealed block file already
+    /// is `dir/level-<h>.mtvb` (the same device and inode, sealed for the
+    /// same `n` under the table's codec) — a block build into `dir`
+    /// itself — is left as it is: that file holds exactly the bytes a
+    /// rewrite would produce. Every other level streams through
+    /// [`Level::scan`] into a block writer; records are re-sealed under
+    /// the table's codec if a level disagrees.
     pub fn save_dir<P: AsRef<Path>>(&self, dir: P) -> io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let n = self.levels[0].num_vertices();
-        for (i, level) in self.levels.iter().enumerate() {
-            let h = i as u32 + 1;
-            // The source level may be block-backed *in this very
-            // directory*; the writer renames its output over it only at
-            // `finish`, and the open source handle keeps the old inode.
-            let mut writer = crate::block::BlockWriter::create(
-                dir.join(format!("level-{h}.mtvb")),
-                n,
-                self.codec,
-            )?;
+        for (h, level) in (1u32..).zip(&self.levels) {
+            let path = dir.join(format!("level-{h}.mtvb"));
+            if let Level::Block { blocks, .. } = level {
+                if blocks.n == n && blocks.codec == self.codec && blocks.is_at(&path) {
+                    continue;
+                }
+            }
+            // The source level may be block-backed in this directory
+            // under another inode; the writer renames its output over it
+            // only at `finish`, and the open source handle keeps its own.
+            let mut writer = BlockWriter::create(&path, n, self.codec)?;
             for item in level.scan() {
                 let (v, rec) = item?;
                 writer.add(v, &rec)?;
@@ -339,14 +388,14 @@ impl CountTable {
     /// memory is available" fast path of the paper's memory-mapped reads
     /// (§3.3): after preloading, record access never touches the disk.
     pub fn preload(self) -> io::Result<CountTable> {
-        let mut levels: Vec<Box<dyn LevelStore>> = Vec::with_capacity(self.levels.len());
+        let mut levels = Vec::with_capacity(self.levels.len());
         for lvl in &self.levels {
             let mut mem = MemoryLevel::new(lvl.num_vertices(), self.codec);
             for item in lvl.scan() {
                 let (v, rec) = item?;
-                mem.put(v, (*rec).clone())?;
+                mem.put(v, (*rec).clone());
             }
-            levels.push(Box::new(mem));
+            levels.push(Level::Memory(mem));
         }
         Ok(CountTable {
             k: self.k,
@@ -358,8 +407,8 @@ impl CountTable {
     }
 
     /// Reopens a table persisted by [`CountTable::save_dir`]: `table.meta`
-    /// v3 and one block file per level. Any other version is refused with
-    /// `InvalidData`.
+    /// v3 and one block file per level, each sized for the meta's `n`.
+    /// Anything else is refused with `InvalidData`.
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> io::Result<CountTable> {
         use bytes::Buf;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -384,19 +433,23 @@ impl CountTable {
             return Err(bad("truncated meta"));
         }
         let k = buf.get_u32_le();
-        let _n = buf.get_u32_le();
+        let n = buf.get_u32_le();
         let codec = RecordCodec::from_tag(buf.get_u8()).ok_or_else(|| bad("unknown codec tag"))?;
         if k == 0 || buf.remaining() != 8 + 4 * k as usize {
             return Err(bad("table.meta k is 0 or disagrees with its build history"));
         }
         let peak_mem_bytes = buf.get_u64_le();
         let spill_runs = (0..k).map(|_| buf.get_u32_le()).collect();
-        let mut levels: Vec<Box<dyn LevelStore>> = Vec::with_capacity(k as usize);
+        let mut levels = Vec::with_capacity(k as usize);
         for h in 1..=k {
-            levels.push(Box::new(crate::block::BlockLevel::open(
-                dir.join(format!("level-{h}.mtvb")),
-                codec,
-            )?));
+            let level = Level::open(&dir.join(format!("level-{h}.mtvb")), codec)?;
+            if level.num_vertices() != n {
+                return Err(bad(&format!(
+                    "level-{h}.mtvb is sized for {} vertices, table.meta for {n}",
+                    level.num_vertices()
+                )));
+            }
+            levels.push(level);
         }
         Ok(CountTable {
             k,
@@ -443,10 +496,13 @@ mod tests {
 
     #[test]
     fn memory_level_roundtrip() {
-        let mut lvl = MemoryLevel::new(10, RecordCodec::Plain);
+        let mut lvl = StorageKind::Memory
+            .create_level(1, 10, RecordCodec::Plain)
+            .unwrap();
         lvl.put(3, record(5)).unwrap();
         lvl.put(7, record(9)).unwrap();
         lvl.put(1, Record::default()).unwrap(); // empty: dropped
+        let lvl = lvl.seal().unwrap();
         assert_eq!(lvl.record_count(), 2);
         assert_eq!(lvl.get(3).unwrap().total(), record(5).total());
         assert!(lvl.get(0).unwrap().is_empty());
@@ -460,7 +516,8 @@ mod tests {
         let mut l2 = kind.create_level(2, 5, RecordCodec::Plain).unwrap();
         l1.put(0, record(1)).unwrap();
         l2.put(4, record(2)).unwrap();
-        let table = CountTable::from_levels(vec![l1, l2], RecordCodec::Plain);
+        let levels = vec![l1.seal().unwrap(), l2.seal().unwrap()];
+        let table = CountTable::from_levels(levels, RecordCodec::Plain);
         assert_eq!(table.k(), 2);
         assert_eq!(table.codec(), RecordCodec::Plain);
         assert_eq!(table.get(1, 0).unwrap().total(), record(1).total());
@@ -482,7 +539,8 @@ mod tests {
                 l1.put(v, record_in(codec, v as u64)).unwrap();
             }
             l2.put(5, record_in(codec, 42)).unwrap();
-            let table = CountTable::from_levels(vec![l1, l2], codec);
+            let table =
+                CountTable::from_levels(vec![l1.seal().unwrap(), l2.seal().unwrap()], codec);
             table.save_dir(&dir).unwrap();
             let back = CountTable::open_dir(&dir).unwrap();
             assert_eq!(back.k(), 2);
@@ -512,11 +570,13 @@ mod tests {
     fn save_dir_recodes_to_table_codec() {
         let dir = std::env::temp_dir().join("motivo-table-test-recode");
         std::fs::remove_dir_all(&dir).ok();
-        let mut l1 = MemoryLevel::new(6, RecordCodec::Succinct);
+        let mut l1 = StorageKind::Memory
+            .create_level(1, 6, RecordCodec::Succinct)
+            .unwrap();
         for v in 0..6 {
             l1.put(v, record(v as u64 + 1)).unwrap(); // plain records
         }
-        let table = CountTable::from_levels(vec![Box::new(l1)], RecordCodec::Succinct);
+        let table = CountTable::from_levels(vec![l1.seal().unwrap()], RecordCodec::Succinct);
         table.save_dir(&dir).unwrap();
         let back = CountTable::open_dir(&dir).unwrap();
         assert_eq!(back.codec(), RecordCodec::Succinct);
@@ -569,11 +629,11 @@ mod tests {
     #[test]
     fn succinct_table_is_smaller() {
         let make = |codec: RecordCodec| {
-            let mut lvl = MemoryLevel::new(64, codec);
+            let mut lvl = StorageKind::Memory.create_level(1, 64, codec).unwrap();
             for v in 0..64u32 {
                 lvl.put(v, record_in(codec, v as u64)).unwrap();
             }
-            CountTable::from_levels(vec![Box::new(lvl)], codec)
+            CountTable::from_levels(vec![lvl.seal().unwrap()], codec)
         };
         let plain = make(RecordCodec::Plain);
         let succ = make(RecordCodec::Succinct);

@@ -46,7 +46,8 @@ fn main() {
         );
     }
 
-    // Persist the full urn (adds the coloring and the metadata).
+    // Persist the full urn. Every level file is already sealed in `dir`,
+    // so this writes only the coloring and the metadata.
     motivo::core::save_urn(&urn, &dir).expect("persist");
     drop(urn);
 

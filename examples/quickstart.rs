@@ -1,9 +1,14 @@
-//! Quickstart: count all 5-node graphlets of a social-like graph and check
-//! a few of them against exact ground truth.
+//! Quickstart: count all 5-node graphlets of a social-like graph, then
+//! check the star and clique estimates against exact ground truth on a
+//! smaller graph of the same family.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! Runs in about 7 s on a 2-vCPU VM: build and 200k samples on the
+//! 5,000-node graph take about 2.6 s, the 10-coloring check ensemble and
+//! the exact enumeration on the 300-node graph the rest.
 
 use motivo::prelude::*;
 
@@ -58,21 +63,38 @@ fn main() {
     }
 
     // Sanity: compare the star and clique counts against exact ESU counts.
-    let exact = motivo::exact::count_exact(&graph, k as u8);
+    // Exact enumeration visits every connected 5-node subgraph — on the
+    // graph above, the stars around its hubs alone number in the hundreds
+    // of millions — so the check runs on a 300-node graph of the same
+    // family (about 3 million subgraphs), with urns and estimates of its
+    // own. On a graph this small one coloring leaves the color-coding
+    // variance in plain view, so the estimate averages 10 colorings, as
+    // the paper does (§5).
+    let small = motivo::graph::generators::barabasi_albert(300, 3, 42);
+    let mut registry = GraphletRegistry::new(k as u8);
+    let est = motivo::core::ensemble(&small, &mut registry, &EnsembleConfig::naive(k, 50_000))
+        .expect("ensemble");
+    let exact = motivo::exact::count_exact(&small, k as u8);
+    println!(
+        "\ncheck graph: {} nodes, {} edges; {} connected {k}-node subgraphs",
+        small.num_nodes(),
+        small.num_edges(),
+        exact.total
+    );
     for shape in [
         motivo::graphlet::star(k as u8),
         motivo::graphlet::clique(k as u8),
     ] {
         let truth = exact.count_of(&shape) as f64;
         let idx = registry.classify(&shape);
-        let got = est.get(idx).map(|e| e.count).unwrap_or(0.0);
+        let got = est.get(idx).map(|c| c.mean).unwrap_or(0.0);
         let err = if truth > 0.0 {
             (got - truth) / truth
         } else {
             0.0
         };
         println!(
-            "\n  {:?}: estimate {:.0} vs exact {:.0} (error {:+.1}%)",
+            "  {:?}: estimate {:.0} vs exact {:.0} (error {:+.1}%)",
             shape.degree_sequence(),
             got,
             truth,

@@ -414,16 +414,19 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         cfg = cfg.biased(lambda);
     }
     cfg = cfg.codec(parse_codec(&o)?);
-    let mut scratch: Option<std::path::PathBuf> = None;
     if let Some(bytes) = o.get::<usize>("build-mem-bytes")? {
-        // Spill runs need a directory before the urn dir exists; save_urn
-        // re-persists the sealed levels into `table`, so the scratch dir
-        // is safe to drop afterwards.
-        let dir = std::path::PathBuf::from(format!("{table}.build-tmp"));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        cfg = cfg.build_mem_bytes(&dir, bytes);
-        scratch = Some(dir);
+        // Block levels seal straight into `table`; save_urn then finds
+        // them in place and adds only the metadata. An urn already there
+        // stops reading as one first (save_urn writes `urn.meta` last), so
+        // a failed build cannot leave new levels under the old metadata.
+        let meta = std::path::Path::new(&table).join("urn.meta");
+        match std::fs::remove_file(&meta) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("cannot replace {}: {e}", meta.display()));
+            }
+            _ => {}
+        }
+        cfg = cfg.build_mem_bytes(&table, bytes);
     }
     let urn = motivo::core::build_urn(&g, &cfg).map_err(|e| e.to_string())?;
     let st = urn.build_stats();
@@ -439,10 +442,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         st.spill_runs, st.peak_mem_bytes
     );
     save_urn(&urn, &table).map_err(|e| format!("cannot persist urn: {e}"))?;
-    if let Some(dir) = scratch {
-        drop(urn);
-        std::fs::remove_dir_all(&dir).ok();
-    }
     println!("persisted to {table}");
     Ok(())
 }

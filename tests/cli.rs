@@ -483,10 +483,51 @@ fn stats_command_reports_per_kind_latencies() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A rebuild that fails half-way through a table directory leaves no urn
+/// there that loads: never new level files under the old `urn.meta`. A
+/// directory planted where level 3 is sealed is the fault.
+#[test]
+fn failed_rebuild_leaves_no_loadable_stale_urn() {
+    let dir = workdir("rebuild-fault");
+    let g = dir.join("g.mtvg");
+    run(motivo()
+        .args([
+            "generate", "--model", "ba", "--nodes", "300", "--param", "3", "--seed", "9",
+        ])
+        .arg("--out")
+        .arg(&g));
+    let table = dir.join("urn");
+    let build = |seed: &str| {
+        let mut cmd = motivo();
+        cmd.arg("build").arg(&g).args(["-k", "4", "--seed", seed]);
+        cmd.args(["--build-mem-bytes", "4096", "--table"])
+            .arg(&table);
+        cmd
+    };
+    let sample = || {
+        let mut cmd = motivo();
+        cmd.arg("sample").arg(&g).arg("--table").arg(&table);
+        cmd.args(["--samples", "1000"]);
+        cmd
+    };
+    run(&mut build("3"));
+    run(&mut sample());
+    std::fs::create_dir(table.join("level-3.mtvb.new")).unwrap();
+    assert!(!build("4").output().unwrap().status.success());
+    // Refused with a one-line error: a table mixing the two colorings
+    // would load, and the sampler would panic on it.
+    let out = sample().output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot load urn"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The out-of-core path end to end: a build under a tiny memtable budget
-/// must report its spill rounds, leave no scratch behind, produce level
-/// files byte-identical to the unbudgeted build, and `table stats` must
-/// surface the block counts and build history.
+/// must report its spill rounds, leave no `*.new` or `*.run*` file in the
+/// table directory it builds into, produce level files byte-identical to
+/// the unbudgeted build, and `table stats` must surface the block counts
+/// and build history.
 #[test]
 fn budgeted_build_matches_unbudgeted_byte_for_byte() {
     let dir = workdir("oom");
@@ -519,11 +560,14 @@ fn budgeted_build_matches_unbudgeted_byte_for_byte() {
         .parse()
         .expect("spill count");
     assert!(spills >= 2, "4 KiB budget must force ≥2 spills: {out}");
-    // The scratch spill directory is cleaned up after persisting.
-    assert!(
-        !dir.join("urn-budget.build-tmp").exists(),
-        "scratch dir left behind"
-    );
+    // The same check as CI's oom-smoke job: sealing and saving leave no
+    // temporary file behind.
+    let leftovers: Vec<String> = std::fs::read_dir(&budgeted)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".new") || name.contains(".run"))
+        .collect();
+    assert!(leftovers.is_empty(), "temporary files left: {leftovers:?}");
     for h in 1..=4 {
         let a = std::fs::read(reference.join(format!("level-{h}.mtvb"))).unwrap();
         let b = std::fs::read(budgeted.join(format!("level-{h}.mtvb"))).unwrap();

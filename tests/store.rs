@@ -16,6 +16,27 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
+/// A level that cannot be written fails the store's background build:
+/// the urn ends `Failed`, its directory is removed, and no waiter hangs.
+/// A directory planted where level 3's block file is first written is
+/// the fault.
+#[test]
+fn failed_level_write_fails_the_build_and_removes_its_dir() {
+    let dir = workdir("write-fault");
+    let g = motivo::graph::generators::barabasi_albert(200, 3, 5);
+    let store = UrnStore::open(&dir).unwrap();
+    let urn_dir = dir.join("urns").join(UrnId(0).dir_name());
+    std::fs::create_dir_all(urn_dir.join("level-3.mtvb.new")).unwrap();
+    let handle = store
+        .build_or_get(&g, &BuildConfig::new(4).seed(1))
+        .unwrap();
+    assert_eq!(handle.id(), UrnId(0));
+    assert!(handle.wait().is_err(), "a failed build must not load");
+    assert_eq!(store.meta(UrnId(0)).unwrap().status, BuildStatus::Failed);
+    assert!(!urn_dir.exists(), "the failed urn's directory must go");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn roundtrip_two_graphs_across_reopen() {
     let dir = workdir("roundtrip");
