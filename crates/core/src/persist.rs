@@ -44,10 +44,17 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     h
 }
 
-/// Persists a built urn into `dir`.
+/// Persists a built urn into `dir`. `urn.meta` is written last, and an
+/// existing one is removed before any other file is replaced: a save that
+/// fails half-way into a directory holding an older urn leaves a directory
+/// that does not load, never new levels under the old metadata.
 pub fn save_urn(urn: &Urn<'_>, dir: impl AsRef<Path>) -> io::Result<()> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
+    match std::fs::remove_file(dir.join("urn.meta")) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
     urn.table().save_dir(dir)?;
     urn.coloring()
         .save(std::fs::File::create(dir.join("coloring.mtvc"))?)?;
@@ -384,6 +391,27 @@ mod tests {
             assert_eq!(back.build_stats().spill_runs, urn.build_stats().spill_runs);
         }
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// A save that fails half-way into a directory holding another urn
+    /// leaves nothing loadable: the old `urn.meta` goes before the first
+    /// level is replaced. The fault is a directory planted where level 3's
+    /// block file is first written.
+    #[test]
+    fn failed_save_over_an_older_urn_leaves_no_loadable_urn() {
+        let g = generators::barabasi_albert(60, 3, 1);
+        let dir = std::env::temp_dir().join("motivo-persist-test-failed-resave");
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = |seed| BuildConfig::new(4).seed(seed).threads(1);
+        save_urn(&build_urn(&g, &cfg(1)).unwrap(), &dir).unwrap();
+        assert!(load_urn(&g, &dir).is_ok());
+        std::fs::create_dir_all(dir.join("level-3.mtvb.new")).unwrap();
+        assert!(save_urn(&build_urn(&g, &cfg(2)).unwrap(), &dir).is_err());
+        assert!(
+            load_urn(&g, &dir).is_err(),
+            "levels 1-2 of seed 2 under the metadata of seed 1 must not load"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// No checksum covers a block file's footer. A `level-1.mtvb` whose

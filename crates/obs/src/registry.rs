@@ -7,10 +7,13 @@
 //! `Arc` — usually wrapped in an [`Obs`] so call sites stay no-ops when
 //! observability is off. Registration takes a lock; the returned handles
 //! are `Arc`-backed atomics, so the hot path never touches the registry
-//! again.
+//! again. Reads by name prefix ([`Registry::counter_values`] and its
+//! gauge and histogram twins) register nothing, so a report rebuilt from
+//! the handles never creates the metrics it looks for.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -163,34 +166,21 @@ impl Registry {
         SpanGuard::new(self.histogram(&format!("span.{}", label.into())))
     }
 
-    /// Current counter values, sorted by name.
-    pub fn counter_values(&self) -> BTreeMap<String, u64> {
-        self.counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+    /// Current values of the counters whose names start with `prefix`,
+    /// keyed by the rest of the name and sorted (`""` reads them all).
+    /// Registers nothing: reading a metric never creates it.
+    pub fn counter_values(&self, prefix: &str) -> BTreeMap<String, u64> {
+        read_under(&self.counters, prefix, Counter::get)
     }
 
-    /// Current gauge values, sorted by name.
-    pub fn gauge_values(&self) -> BTreeMap<String, u64> {
-        self.gauges
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+    /// Current values of the gauges under `prefix` (as [`Registry::counter_values`]).
+    pub fn gauge_values(&self, prefix: &str) -> BTreeMap<String, u64> {
+        read_under(&self.gauges, prefix, Gauge::get)
     }
 
-    /// Snapshots of every registered histogram, sorted by name.
-    pub fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.histograms
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect()
+    /// Snapshots of the histograms under `prefix` (as [`Registry::counter_values`]).
+    pub fn histogram_snapshots(&self, prefix: &str) -> BTreeMap<String, HistogramSnapshot> {
+        read_under(&self.histograms, prefix, |h| h.snapshot())
     }
 
     /// Renders every metric in the Prometheus text exposition format
@@ -203,15 +193,15 @@ impl Registry {
             "motivo_uptime_seconds {}\n",
             fmt_f64(self.uptime_secs())
         ));
-        for (name, v) in self.counter_values() {
+        for (name, v) in self.counter_values("") {
             let m = metric_name(&name);
             out.push_str(&format!("# TYPE {m} counter\n{m} {v}\n"));
         }
-        for (name, v) in self.gauge_values() {
+        for (name, v) in self.gauge_values("") {
             let m = metric_name(&name);
             out.push_str(&format!("# TYPE {m} gauge\n{m} {v}\n"));
         }
-        for (name, s) in self.histogram_snapshots() {
+        for (name, s) in self.histogram_snapshots("") {
             let m = format!("{}_us", metric_name(&name));
             out.push_str(&format!("# TYPE {m} summary\n"));
             for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
@@ -234,11 +224,11 @@ impl Registry {
         let mut out = String::from("{");
         out.push_str(&format!("\"uptime_secs\":{}", fmt_f64(self.uptime_secs())));
         out.push_str(",\"counters\":{");
-        push_map(&mut out, self.counter_values(), |v| v.to_string());
+        push_map(&mut out, self.counter_values(""), |v| v.to_string());
         out.push_str("},\"gauges\":{");
-        push_map(&mut out, self.gauge_values(), |v| v.to_string());
+        push_map(&mut out, self.gauge_values(""), |v| v.to_string());
         out.push_str("},\"histograms\":{");
-        push_map(&mut out, self.histogram_snapshots(), |s| {
+        push_map(&mut out, self.histogram_snapshots(""), |s| {
             format!(
                 "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
                 s.count(),
@@ -262,6 +252,21 @@ impl fmt::Debug for Registry {
             .field("histograms", &self.histograms.read().unwrap().len())
             .finish()
     }
+}
+
+/// `read` applied to every entry of `map` named `<prefix><rest>`, keyed
+/// by `rest`.
+fn read_under<V, R>(
+    map: &RwLock<BTreeMap<String, V>>,
+    prefix: &str,
+    read: impl Fn(&V) -> R,
+) -> BTreeMap<String, R> {
+    map.read()
+        .unwrap()
+        .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(|(name, _)| name.starts_with(prefix))
+        .map(|(name, v)| (name[prefix.len()..].to_string(), read(v)))
+        .collect()
 }
 
 fn push_map<V>(out: &mut String, map: BTreeMap<String, V>, mut render: impl FnMut(V) -> String) {
@@ -459,6 +464,28 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"c\\\"quoted\\\"\":1"));
         assert!(json.contains("\"histograms\":{\"h\":{\"count\":1,"));
+    }
+
+    #[test]
+    fn prefix_reads_strip_the_prefix_and_register_nothing() {
+        let reg = Registry::new();
+        reg.counter("store.query.hits.urn-1").add(3);
+        reg.counter("store.query.hits.urn-10").inc();
+        reg.counter("store.query.hitsx").inc();
+        reg.gauge("repl.lag.127.0.0.1:9").set(5);
+        reg.histogram("store.query.latency.urn-1").record(1500);
+        let hits = reg.counter_values("store.query.hits.");
+        assert_eq!(
+            hits.into_iter().collect::<Vec<_>>(),
+            vec![("urn-1".to_string(), 3), ("urn-10".to_string(), 1)]
+        );
+        assert_eq!(reg.gauge_values("repl.lag.")["127.0.0.1:9"], 5);
+        assert_eq!(
+            reg.histogram_snapshots("store.query.latency.")["urn-1"].count(),
+            1
+        );
+        assert!(reg.counter_values("server.").is_empty());
+        assert_eq!(reg.counter_values("").len(), 3, "reads registered nothing");
     }
 
     #[test]

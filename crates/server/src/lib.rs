@@ -3,8 +3,9 @@
 //! A std-only, event-driven TCP daemon serving motif-count queries over
 //! a shared [`motivo_store::UrnStore`] — the step from a fast
 //! single-process counter to a serving system. The store already gives us
-//! durable urns, an LRU cache, a background build worker, and a
-//! thread-safe query layer; this crate puts a network front on them:
+//! durable urns, an LRU cache, a background build worker, and counted
+//! queries ([`motivo_store::UrnStore::query`]); this crate puts a network
+//! front on them:
 //!
 //! - **Wire protocol** ([`proto`]): length-prefixed JSON frames, typed on
 //!   both ends as [`Request`]/[`Response`], both generated from one
@@ -34,11 +35,14 @@
 //!   [`Client::send_raw`] escape hatch for hand-authored JSON.
 //! - **Metrics** ([`metrics`]): per-request-kind counters, error counts,
 //!   and latency histograms (plus the queue-wait vs service-time split),
-//!   registered in the store's [`motivo_obs::Registry`] next to its
-//!   LRU/journal counters and the core's build spans. A `Metrics` request
-//!   returns the quantile table and a Prometheus-style text rendering;
-//!   `snapshot_secs` adds periodic JSON snapshots under the store
-//!   directory.
+//!   `Busy` replies and accepted connections, registered in the store's
+//!   [`motivo_obs::Registry`] next to its LRU/journal counters, per-urn
+//!   query counts, per-replica fetch accounting and the core's build
+//!   spans. That registry is the only place a serving count lives:
+//!   `Stats`, `server-stats.json`, [`ServeReport`] and `ReplStatus` read
+//!   it back. A `Metrics` request returns the quantile table and a
+//!   Prometheus-style text rendering of every handle; `snapshot_secs`
+//!   adds periodic JSON snapshots under the store directory.
 //! - **Replication** ([`repl`]): leader/replica serving over the same
 //!   wire protocol. A server started with `replica_of` tails the leader's
 //!   journal into a read-only local store (mutations answer `ReadOnly`),
@@ -47,13 +51,13 @@
 //!   **identical** bytes to the leader once caught up. The sync session
 //!   is a [`repl::replica::SyncDriver`] stepped by reactor timers on the
 //!   worker pool, not a dedicated thread. `ReplStatus` reports role,
-//!   offsets, and per-replica lag; `Promote` turns a replica into a
-//!   leader (see DESIGN.md §8).
+//!   offsets, and per-replica lag read from the registry; `Promote`
+//!   turns a replica into a leader (see DESIGN.md §8).
 //!
 //! Determinism is preserved across the wire: a request carrying a seed
 //! produces byte-identical estimate payloads to the equivalent in-process
-//! [`motivo_store::StoreQuery`] call, at any worker-pool size (see
-//! DESIGN.md §6).
+//! estimator call on [`motivo_store::UrnStore::get`], at any worker-pool
+//! size (see DESIGN.md §6).
 //!
 //! ```no_run
 //! use motivo_server::{Client, ServeOptions, Server};

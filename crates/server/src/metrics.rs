@@ -12,7 +12,10 @@
 //! - `server.latency.<Kind>` — service time per kind (queue wait
 //!   excluded), a log-bucket histogram;
 //! - `server.queue_wait` / `server.service` — the queue-wait vs
-//!   service-time split over all pooled requests.
+//!   service-time split over all pooled requests;
+//! - `server.busy` — requests bounced with `Busy` (full queue or a
+//!   connection past its pipelining cap);
+//! - `server.connections` — connections accepted.
 //!
 //! Frames that fail to parse are attributed to the pseudo-kind
 //! `Invalid`, so the counter set stays closed: every frame lands in
@@ -45,6 +48,8 @@ pub struct ServerMetrics {
     kinds: Vec<KindMetrics>,
     pub queue_wait: Arc<Histogram>,
     pub service: Arc<Histogram>,
+    pub busy: Counter,
+    pub connections: Counter,
 }
 
 wire_replies! {
@@ -78,14 +83,14 @@ impl ServerMetrics {
                 latency: registry.histogram(&format!("server.latency.{kind}")),
             })
             .collect();
-        let queue_wait = registry.histogram("server.queue_wait");
-        let service = registry.histogram("server.service");
         ServerMetrics {
+            queue_wait: registry.histogram("server.queue_wait"),
+            service: registry.histogram("server.service"),
+            busy: registry.counter("server.busy"),
+            connections: registry.counter("server.connections"),
             registry,
             names,
             kinds,
-            queue_wait,
-            service,
         }
     }
 
@@ -121,6 +126,11 @@ impl ServerMetrics {
     /// comparable.
     pub fn record_inline(&self, kind: &str, service: Duration) {
         self.kind(kind).latency.record_duration(service);
+    }
+
+    /// Frames counted so far: the sum of every `server.requests.<Kind>`.
+    pub fn requests(&self) -> u64 {
+        self.kinds.iter().map(|m| m.requests.get()).sum()
     }
 
     /// Per-kind counters and quantiles, ascending by kind name, omitting

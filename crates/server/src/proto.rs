@@ -19,8 +19,13 @@
 //! run-dependent values, and every collection is serialized in a canonical
 //! order (classes ascending by registry index, tallies ascending by
 //! canonical code). A request carrying a seed therefore produces
-//! byte-identical payload text to the equivalent in-process
-//! [`motivo_store::StoreQuery`] call, at any worker-pool size.
+//! byte-identical payload text to the equivalent in-process estimator
+//! call on [`motivo_store::UrnStore::get`], at any worker-pool size.
+//!
+//! **One envelope encoder.** Every response frame — a worker's, or one
+//! the reactor answers inline — is framed by [`ok_envelope_text`] or
+//! [`error_envelope_text`], which splice already-serialized payload text
+//! into `{"id":…,"ok":…}` / `{"id":…,"error":…}`.
 
 use motivo_core::parallel::NAIVE_SHARD_SAMPLES;
 use motivo_core::{AgsResult, Estimates, RecordCodec};
@@ -593,32 +598,21 @@ pub(crate) fn request_id(doc: &Value) -> Value {
     doc.get("id").unwrap_or(json!(null))
 }
 
-/// A success envelope: `{"id": …, "ok": payload}`.
-pub fn ok_response(id: &Value, payload: Value) -> Value {
-    json!({"id": id.clone(), "ok": payload})
-}
-
-/// An error envelope: `{"id": …, "error": {"kind", "message"}}`.
-pub fn error_response(id: &Value, kind: ErrorKind, message: &str) -> Value {
-    json!({"id": id.clone(), "error": error_body(kind, message)})
-}
-
 fn error_body(kind: ErrorKind, message: &str) -> Value {
     let kind = kind.as_str().into();
     let message = message.into();
     ErrorBody { kind, message }.encode()
 }
 
-/// Splices a success envelope from already-serialized parts, producing
-/// the exact bytes `to_string(&ok_response(id, payload))` would — this is
-/// how a cached payload is framed without re-parsing it (asserted
-/// byte-for-byte in this module's tests).
+/// A success envelope `{"id":…,"ok":…}` spliced from already-serialized
+/// parts — how a cached payload is framed without re-parsing it (the
+/// bytes are asserted in this module's tests).
 pub fn ok_envelope_text(id_text: &str, payload_text: &str) -> String {
     format!("{{\"id\":{id_text},\"ok\":{payload_text}}}")
 }
 
-/// Serializes an error envelope directly to text (the splicing
-/// counterpart of [`ok_envelope_text`], for per-sub-request batch errors).
+/// An error envelope `{"id":…,"error":{"kind":…,"message":…}}`, the
+/// counterpart of [`ok_envelope_text`].
 pub fn error_envelope_text(id_text: &str, kind: ErrorKind, message: &str) -> String {
     let error = serde_json::to_string(&error_body(kind, message)).expect("error serialize");
     format!("{{\"id\":{id_text},\"error\":{error}}}")
@@ -860,39 +854,33 @@ mod tests {
         );
     }
 
-    /// The splicing fast path must produce the exact bytes the `Value`
-    /// path would — otherwise a cached response would differ from a cold
-    /// one, breaking the cache-exactness guarantee.
+    /// The envelope encoders produce exactly these bytes: a cached
+    /// response, a recomputed one and an inline reply must frame alike.
     #[test]
-    fn spliced_envelopes_match_value_serialization() {
-        for (id, payload) in [
-            (json!(3), json!({"x": 1})),
-            (json!(null), json!([1, 2, 3])),
-            (json!("req-7"), json!({"nested": json!({"deep": true})})),
+    fn envelopes_splice_to_the_documented_bytes() {
+        for (id, payload, ok, err) in [
+            (
+                "3",
+                r#"{"x":1}"#,
+                r#"{"id":3,"ok":{"x":1}}"#,
+                r#"{"id":3,"error":{"kind":"Busy","message":"queue full"}}"#,
+            ),
+            (
+                "null",
+                "[1,2,3]",
+                r#"{"id":null,"ok":[1,2,3]}"#,
+                r#"{"id":null,"error":{"kind":"Busy","message":"queue full"}}"#,
+            ),
+            (
+                r#""req-7""#,
+                r#"{"nested":{"deep":true}}"#,
+                r#"{"id":"req-7","ok":{"nested":{"deep":true}}}"#,
+                r#"{"id":"req-7","error":{"kind":"Busy","message":"queue full"}}"#,
+            ),
         ] {
-            let id_text = serde_json::to_string(&id).unwrap();
-            let payload_text = serde_json::to_string(&payload).unwrap();
-            assert_eq!(
-                ok_envelope_text(&id_text, &payload_text),
-                serde_json::to_string(&ok_response(&id, payload)).unwrap()
-            );
-            assert_eq!(
-                error_envelope_text(&id_text, ErrorKind::Busy, "queue full"),
-                serde_json::to_string(&error_response(&id, ErrorKind::Busy, "queue full")).unwrap()
-            );
+            assert_eq!(ok_envelope_text(id, payload), ok);
+            assert_eq!(error_envelope_text(id, ErrorKind::Busy, "queue full"), err);
         }
-    }
-
-    #[test]
-    fn envelopes_have_the_documented_shape() {
-        let ok = ok_response(&json!(3), json!({"x": 1}));
-        assert_eq!(
-            serde_json::to_string(&ok).unwrap(),
-            r#"{"id":3,"ok":{"x":1}}"#
-        );
-        let err = error_response(&json!(null), ErrorKind::Busy, "queue full");
-        let text = serde_json::to_string(&err).unwrap();
-        assert!(text.contains(r#""kind":"Busy""#), "{text}");
     }
 
     /// `to_value` → `parse` must reproduce the request exactly for every

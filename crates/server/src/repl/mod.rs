@@ -7,8 +7,9 @@
 //! - the **leader** is an ordinary server whose engine additionally
 //!   answers `ReplFetch` (journal frames from an offset), `ReplManifest`
 //!   (snapshot bytes), `ReplFiles`/`ReplFile` (sealed urn and graph
-//!   files), and `ReplStatus`; a [`registry::ReplRegistry`] tracks each
-//!   replica's offset, lag, and served-file counts;
+//!   files), and `ReplStatus`; [`registry::ReplRegistry`] keeps each
+//!   replica's offset, lag, fetch and served-file counts as handles in
+//!   the store's metric registry, where `ReplStatus` reads them back;
 //! - a **replica** is a server whose store was opened with
 //!   [`motivo_store::UrnStore::open_replica`] (mutations refused with
 //!   `ReadOnly`) plus a [`replica::SyncDriver`] — stepped as timer jobs
@@ -46,8 +47,9 @@ pub struct ReplShared {
     /// The leader address a replica was started against (`None` on a
     /// server born a leader).
     pub leader: Option<String>,
-    /// Per-replica fetch accounting (meaningful on a leader; empty on a
-    /// replica unless something fetches from it — chaining is legal).
+    /// Per-replica fetch accounting in the store's registry (meaningful
+    /// on a leader; empty on a replica unless something fetches from it —
+    /// chaining is legal).
     pub registry: registry::ReplRegistry,
     /// The sync driver's self-reported status, served by `ReplStatus`.
     pub sync: Mutex<replica::SyncStatus>,

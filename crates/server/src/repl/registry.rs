@@ -1,98 +1,94 @@
-//! The leader's view of its replicas. Nothing registers a replica
-//! explicitly: the first `ReplFetch` naming it creates its row, every
-//! later one refreshes it. The registry is bookkeeping, not membership —
+//! The leader's view of its replicas, kept as handles in the store's
+//! [`motivo_obs::Registry`]. Nothing registers a replica explicitly: the
+//! first `ReplFetch` or `ReplFile` naming it creates its handles, every
+//! later one updates them. The registry is bookkeeping, not membership —
 //! a replica that stops fetching simply goes stale (its `last_seen` age
 //! keeps growing in `ReplStatus`), and a promoted ex-replica fetching
 //! from a new leader shows up there under its own name.
 //!
-//! Each replica's byte lag (leader journal length minus the replica's
-//! acknowledged offset) is mirrored into a `repl.lag.<name>` gauge in
-//! the store's [`motivo_obs::Registry`], so lag lands in the same
-//! `Metrics` response and snapshot files as every other serving metric.
+//! Per replica `<name>`:
+//!
+//! - `repl.offset.<name>` — gauge, the journal offset its latest fetch
+//!   acknowledged;
+//! - `repl.lag.<name>` — gauge, leader-journal bytes it had not yet
+//!   fetched at that point;
+//! - `repl.fetches.<name>` — counter, `ReplFetch` requests served to it;
+//! - `repl.files_served.<name>` — counter, `ReplFile` chunks served to it
+//!   (the count the no-refetch test watches: a replica resuming from a
+//!   durable offset must not move it);
+//! - `repl.last_seen.<name>` — gauge, registry uptime in milliseconds
+//!   when it last fetched anything.
+//!
+//! `ReplStatus` rows are read back from these handles without
+//! registering any, so a replica that never fetched has no row.
 
 use motivo_obs::Registry;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-/// One replica's accounting row.
-#[derive(Clone, Debug)]
-pub struct ReplicaInfo {
-    /// Journal offset acknowledged by its latest fetch.
-    pub offset: u64,
-    /// Leader-journal bytes it had not yet fetched at that point.
-    pub lag: u64,
-    /// `ReplFetch` requests served to it.
-    pub fetches: u64,
-    /// `ReplFile` chunks served to it — the counter the no-refetch test
-    /// watches: a replica resuming from a durable offset must not move it.
-    pub files_served: u64,
-    /// When it last fetched anything.
-    pub last_seen: Instant,
-}
+const OFFSET: &str = "repl.offset.";
+const LAG: &str = "repl.lag.";
+const FETCHES: &str = "repl.fetches.";
+const FILES_SERVED: &str = "repl.files_served.";
+const LAST_SEEN: &str = "repl.last_seen.";
 
-/// All replicas a leader has heard from, by name.
+/// Every replica a leader has heard from, as registry handles.
 pub struct ReplRegistry {
-    inner: Mutex<BTreeMap<String, ReplicaInfo>>,
     obs: Arc<Registry>,
 }
 
 impl ReplRegistry {
-    /// An empty registry publishing lag gauges into `obs`.
+    /// Replica accounting kept in `obs`.
     pub fn new(obs: Arc<Registry>) -> ReplRegistry {
-        ReplRegistry {
-            inner: Mutex::new(BTreeMap::new()),
-            obs,
-        }
+        ReplRegistry { obs }
     }
 
-    fn row<'a>(map: &'a mut BTreeMap<String, ReplicaInfo>, name: &str) -> &'a mut ReplicaInfo {
-        map.entry(name.to_string()).or_insert_with(|| ReplicaInfo {
-            offset: 0,
-            lag: 0,
-            fetches: 0,
-            files_served: 0,
-            last_seen: Instant::now(),
-        })
+    fn uptime_ms(&self) -> u64 {
+        (self.obs.uptime_secs() * 1e3) as u64
+    }
+
+    fn seen(&self, name: &str) {
+        let now = self.uptime_ms();
+        self.obs.gauge(&format!("{LAST_SEEN}{name}")).set(now);
     }
 
     /// Records a `ReplFetch` from `name` at `offset` against a journal
     /// currently `leader_len` bytes long.
     pub fn on_fetch(&self, name: &str, offset: u64, leader_len: u64) {
         let lag = leader_len.saturating_sub(offset);
-        let mut map = self.inner.lock().expect("repl registry poisoned");
-        let row = Self::row(&mut map, name);
-        row.offset = offset;
-        row.lag = lag;
-        row.fetches += 1;
-        row.last_seen = Instant::now();
-        drop(map);
-        self.obs.gauge(&format!("repl.lag.{name}")).set(lag);
+        self.obs.gauge(&format!("{OFFSET}{name}")).set(offset);
+        self.obs.gauge(&format!("{LAG}{name}")).set(lag);
+        self.obs.counter(&format!("{FETCHES}{name}")).inc();
+        self.seen(name);
     }
 
     /// Records a `ReplFile` chunk served to `name` (when the request
     /// carried a name — anonymous fetches are served but unattributed).
     pub fn on_file(&self, name: Option<&str>) {
         let Some(name) = name else { return };
-        let mut map = self.inner.lock().expect("repl registry poisoned");
-        let row = Self::row(&mut map, name);
-        row.files_served += 1;
-        row.last_seen = Instant::now();
+        self.obs.counter(&format!("{FILES_SERVED}{name}")).inc();
+        self.seen(name);
     }
 
     /// The `ReplStatus` rows: one object per replica, ascending by name.
     pub fn snapshot_json(&self) -> Vec<Value> {
-        let map = self.inner.lock().expect("repl registry poisoned");
-        map.iter()
-            .map(|(name, r)| {
+        let now = self.uptime_ms();
+        let (offsets, lags) = (self.obs.gauge_values(OFFSET), self.obs.gauge_values(LAG));
+        let fetches = self.obs.counter_values(FETCHES);
+        let files = self.obs.counter_values(FILES_SERVED);
+        let value = |map: &BTreeMap<String, u64>, name: &str| map.get(name).copied().unwrap_or(0);
+        self.obs
+            .gauge_values(LAST_SEEN)
+            .into_iter()
+            .map(|(name, seen)| {
                 json!({
                     "name": name,
-                    "offset": r.offset,
-                    "lag": r.lag,
-                    "fetches": r.fetches,
-                    "files_served": r.files_served,
-                    "last_seen_ms": r.last_seen.elapsed().as_millis() as u64,
+                    "offset": value(&offsets, &name),
+                    "lag": value(&lags, &name),
+                    "fetches": value(&fetches, &name),
+                    "files_served": value(&files, &name),
+                    "last_seen_ms": now.saturating_sub(seen),
                 })
             })
             .collect()
@@ -125,5 +121,24 @@ mod tests {
 
         assert_eq!(obs.gauge("repl.lag.r1").get(), 0);
         assert_eq!(obs.gauge("repl.lag.r2").get(), 64);
+        assert_eq!(obs.gauge("repl.offset.r2").get(), 32);
+        assert_eq!(obs.counter("repl.fetches.r1").get(), 2);
+        assert_eq!(obs.counter("repl.files_served.r2").get(), 2);
+    }
+
+    /// Rows come back from the handles alone: reading registers nothing,
+    /// and a replica only ever served files still gets a row.
+    #[test]
+    fn rows_are_read_without_registering() {
+        let obs = Arc::new(Registry::new());
+        let reg = ReplRegistry::new(obs.clone());
+        assert!(reg.snapshot_json().is_empty());
+        assert!(obs.gauge_values("").is_empty() && obs.counter_values("").is_empty());
+        reg.on_file(Some("r3"));
+        let rows = reg.snapshot_json();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("files_served").unwrap().as_u64(), Some(1));
+        assert_eq!(rows[0].get("fetches").unwrap().as_u64(), Some(0));
+        assert!(obs.gauge_values(OFFSET).is_empty(), "no offset handle made");
     }
 }

@@ -1,7 +1,7 @@
 //! The daemon: a single-threaded poll-based **reactor** owning every
 //! connection, feeding a fixed-size worker pool through a bounded queue,
 //! serving the wire protocol of [`crate::proto`] over a shared
-//! [`UrnStore`] + [`StoreQuery`].
+//! [`UrnStore`].
 //!
 //! Event model (DESIGN.md §6.2) — the serve thread *is* the reactor; the
 //! only other threads are the workers:
@@ -56,8 +56,16 @@
 //! **Determinism:** request handlers build a fresh [`GraphletRegistry`]
 //! per request and never put run-dependent values in payloads, so a seeded
 //! request's payload is byte-identical to the equivalent in-process
-//! [`StoreQuery`] call at any pool size (the seed-splitting guarantee of
-//! DESIGN.md §5 carried across the wire).
+//! estimator call on [`UrnStore::get`] at any pool size (the
+//! seed-splitting guarantee of DESIGN.md §5 carried across the wire).
+//!
+//! **Counting:** every serving count lives once, in the store's registry:
+//! per-kind requests, errors and latencies, `server.busy` and
+//! `server.connections` ([`ServerMetrics`]), per-urn query counts
+//! ([`UrnStore::query`]) and per-replica fetch accounting
+//! ([`crate::repl::registry`]). `Stats`, `server-stats.json`,
+//! [`ServeReport`] and `ReplStatus` are read back from those handles, so
+//! they last as long as the store, not the serve loop.
 //!
 //! **Serving throughput:** workers answer through an `Engine` that puts
 //! a [`QueryCache`] in front of the estimators — an exact result cache
@@ -67,11 +75,11 @@
 //! order, all within the one queue slot the batch occupied.
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use motivo_core::{AgsConfig, BuildConfig, SampleConfig};
+use motivo_core::{ags, naive_estimates, sample_tally, AgsConfig, BuildConfig, SampleConfig};
 use motivo_graph::io as graph_io;
 use motivo_graphlet::GraphletRegistry;
 use motivo_obs::Obs;
-use motivo_store::{BuildStatus, FileMeta, StoreError, StoreQuery, UrnStore};
+use motivo_store::{BuildStatus, FileMeta, StoreError, UrnStore};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::io;
@@ -280,15 +288,18 @@ impl ServeOptionsBuilder {
     }
 }
 
-/// What a serve loop did, returned by [`Server::join`].
+/// What the store's server has done, returned by [`Server::join`]. The
+/// counts are read from the store's registry, so like `per_kind` they
+/// cover every serve loop over this store, not only the last one.
 #[derive(Clone, Debug, Default)]
 pub struct ServeReport {
-    /// Frames parsed as requests (including ones answered `Busy`).
+    /// Frames parsed as requests (including ones answered `Busy`): the
+    /// sum of the `server.requests.<Kind>` counters.
     pub requests: u64,
     /// Requests bounced by backpressure (full queue or a connection past
-    /// its pipelining cap).
+    /// its pipelining cap): `server.busy`.
     pub busy_rejections: u64,
-    /// Connections accepted.
+    /// Connections accepted: `server.connections`.
     pub connections: u64,
     /// Final counters of the query-result cache (`misses` = estimator
     /// runs that went through it).
@@ -319,14 +330,6 @@ impl Signal {
             self.waker.wake();
         }
     }
-}
-
-/// Serving tallies. Plain integers: only the reactor thread writes them.
-#[derive(Default)]
-struct Tallies {
-    requests: u64,
-    busy: u64,
-    connections: u64,
 }
 
 /// One unit of pool work. Timer-driven work (replica sync, metrics
@@ -476,7 +479,6 @@ fn serve_loop(
         None => ReplShared::leader(store.obs().clone()),
     };
     let engine = Engine::new(&store, opts.cache_bytes, &metrics, &repl);
-    let mut tallies = Tallies::default();
     let handback = Handback {
         done: Mutex::new(Vec::new()),
         waker: signal.waker.clone(),
@@ -519,7 +521,6 @@ fn serve_loop(
             &wake_rx,
             tx,
             &signal,
-            &mut tallies,
             &metrics,
             &repl,
             &handback,
@@ -534,14 +535,19 @@ fn serve_loop(
     }
 
     // Every worker has exited; flush serving stats: the aggregate `Stats`
-    // answer plus the serve loop's own tallies.
+    // answer plus the serving counters of the store's registry.
     let query_cache = engine.cache.stats();
     let per_kind = metrics.kind_stats();
     let per_kind_json: Vec<Value> = per_kind.iter().map(Wire::encode).collect();
+    let (requests, busy_rejections, connections) = (
+        metrics.requests(),
+        metrics.busy.get(),
+        metrics.connections.get(),
+    );
     let mut body = engine.stats_json();
-    body.set("requests", json!(tallies.requests));
-    body.set("busy_rejections", json!(tallies.busy));
-    body.set("connections", json!(tallies.connections));
+    body.set("requests", json!(requests));
+    body.set("busy_rejections", json!(busy_rejections));
+    body.set("connections", json!(connections));
     body.set("per_kind", json!(per_kind_json));
     let text = serde_json::to_string_pretty(&body).expect("stats serialize");
     let stats_path = match store.flush_stats(text.as_bytes()) {
@@ -560,9 +566,9 @@ fn serve_loop(
     };
 
     ServeReport {
-        requests: tallies.requests,
-        busy_rejections: tallies.busy,
-        connections: tallies.connections,
+        requests,
+        busy_rejections,
+        connections,
         query_cache,
         per_kind,
         stats_path,
@@ -594,7 +600,6 @@ fn reactor_loop(
     wake_rx: &reactor::WakeReader,
     tx: Sender<Job>,
     signal: &Signal,
-    tallies: &mut Tallies,
     metrics: &ServerMetrics,
     repl: &ReplShared,
     handback: &Handback,
@@ -700,7 +705,7 @@ fn reactor_loop(
                                 // buffer waiting for an ACK; serving
                                 // latency is the product here.
                                 stream.set_nodelay(true).ok();
-                                tallies.connections += 1;
+                                metrics.connections.inc();
                                 let token = next_token;
                                 next_token += 1;
                                 if poller
@@ -741,20 +746,16 @@ fn reactor_loop(
                             Ok(eof) => {
                                 loop {
                                     match conn.frames.next_frame() {
-                                        Ok(Some(payload)) => {
-                                            tallies.requests += 1;
-                                            handle_frame(
-                                                &payload,
-                                                token,
-                                                conn,
-                                                tx.as_ref(),
-                                                signal,
-                                                metrics,
-                                                repl,
-                                                tallies,
-                                                &mut outstanding,
-                                            );
-                                        }
+                                        Ok(Some(payload)) => handle_frame(
+                                            &payload,
+                                            token,
+                                            conn,
+                                            tx.as_ref(),
+                                            signal,
+                                            metrics,
+                                            repl,
+                                            &mut outstanding,
+                                        ),
                                         Ok(None) => break,
                                         // Oversized announcement: protocol
                                         // error, fatal to the connection.
@@ -823,7 +824,6 @@ fn reactor_loop(
                     // Routed to `ShuttingDown` (or answered inline) by the
                     // signal check inside — a frame that fully arrived
                     // before the drain is answered, never ignored.
-                    tallies.requests += 1;
                     handle_frame(
                         &payload,
                         token,
@@ -832,7 +832,6 @@ fn reactor_loop(
                         signal,
                         metrics,
                         repl,
-                        tallies,
                         &mut outstanding,
                     );
                 }
@@ -883,10 +882,20 @@ fn reactor_loop(
     }
 }
 
-/// Queues one response document on the connection's write buffer.
-fn push_response(conn: &mut Conn, response: &Value) {
-    let text = serde_json::to_string(response).expect("response serialize");
-    conn.wbuf.push_frame(text.as_bytes());
+/// Queues an inline success reply, framed by the envelope encoder the
+/// workers use.
+fn push_ok(conn: &mut Conn, id: &Value, payload: &Value) {
+    let id = serde_json::to_string(id).expect("id serialize");
+    let payload = serde_json::to_string(payload).expect("payload serialize");
+    conn.wbuf
+        .push_frame(proto::ok_envelope_text(&id, &payload).as_bytes());
+}
+
+/// Queues an inline error reply, framed like [`push_ok`].
+fn push_error(conn: &mut Conn, id: &Value, kind: ErrorKind, message: &str) {
+    let id = serde_json::to_string(id).expect("id serialize");
+    conn.wbuf
+        .push_frame(proto::error_envelope_text(&id, kind, message).as_bytes());
 }
 
 /// Handles one frame on the reactor thread: answers `Ping`, `Hello`,
@@ -903,7 +912,6 @@ fn handle_frame(
     signal: &Signal,
     metrics: &ServerMetrics,
     repl: &ReplShared,
-    tallies: &mut Tallies,
     outstanding: &mut u64,
 ) {
     let parsed = std::str::from_utf8(payload)
@@ -923,10 +931,7 @@ fn handle_frame(
             let invalid = metrics.kind(INVALID);
             invalid.requests.inc();
             invalid.errors.inc();
-            return push_response(
-                conn,
-                &proto::error_response(&id, ErrorKind::BadRequest, &msg),
-            );
+            return push_error(conn, &id, ErrorKind::BadRequest, &msg);
         }
     };
     let kind = req.kind();
@@ -936,14 +941,14 @@ fn handle_frame(
         // Answered inline: must work even with a saturated queue.
         Request::Ping => {
             let t0 = Instant::now();
-            push_response(conn, &proto::ok_response(&id, Pong { pong: true }.encode()));
+            push_ok(conn, &id, &Pong { pong: true }.encode());
             metrics.record_inline(kind, t0.elapsed());
         }
         // The handshake is inline for the same reason: a client probing
         // what this server speaks deserves an answer before the pool does.
         Request::Hello { .. } => {
             let t0 = Instant::now();
-            push_response(conn, &proto::ok_response(&id, proto::hello_payload()));
+            push_ok(conn, &id, &proto::hello_payload());
             metrics.record_inline(kind, t0.elapsed());
         }
         Request::Shutdown => {
@@ -953,19 +958,17 @@ fn handle_frame(
                 // peer reaching a read replica must not be able to take it
                 // down. Promotion lifts this along with the write gate.
                 metrics.kind(kind).errors.inc();
-                push_response(
+                push_error(
                     conn,
-                    &proto::error_response(
-                        &id,
-                        ErrorKind::ReadOnly,
-                        "replica refuses wire shutdown; promote it first or stop its process",
-                    ),
+                    &id,
+                    ErrorKind::ReadOnly,
+                    "replica refuses wire shutdown; promote it first or stop its process",
                 );
             } else {
                 let ack = ShuttingDown {
                     shutting_down: true,
                 };
-                push_response(conn, &proto::ok_response(&id, ack.encode()));
+                push_ok(conn, &id, &ack.encode());
                 signal.trigger();
             }
             metrics.record_inline(kind, t0.elapsed());
@@ -973,28 +976,24 @@ fn handle_frame(
         req => {
             if signal.is_set() || tx.is_none() {
                 metrics.kind(kind).errors.inc();
-                return push_response(
+                return push_error(
                     conn,
-                    &proto::error_response(
-                        &id,
-                        ErrorKind::ShuttingDown,
-                        "server is draining; no new work accepted",
-                    ),
+                    &id,
+                    ErrorKind::ShuttingDown,
+                    "server is draining; no new work accepted",
                 );
             }
             if conn.in_flight >= proto::MAX_PIPELINE {
-                tallies.busy += 1;
+                metrics.busy.inc();
                 metrics.kind(kind).errors.inc();
-                return push_response(
+                return push_error(
                     conn,
-                    &proto::error_response(
-                        &id,
-                        ErrorKind::Busy,
-                        &format!(
-                            "pipelining cap of {} in-flight requests reached; \
-                             read responses before sending more",
-                            proto::MAX_PIPELINE
-                        ),
+                    &id,
+                    ErrorKind::Busy,
+                    &format!(
+                        "pipelining cap of {} in-flight requests reached; \
+                         read responses before sending more",
+                        proto::MAX_PIPELINE
                     ),
                 );
             }
@@ -1009,26 +1008,22 @@ fn handle_frame(
                     conn.in_flight += 1;
                 }
                 Err(TrySendError::Full(_)) => {
-                    tallies.busy += 1;
+                    metrics.busy.inc();
                     metrics.kind(kind).errors.inc();
-                    push_response(
+                    push_error(
                         conn,
-                        &proto::error_response(
-                            &id,
-                            ErrorKind::Busy,
-                            "worker queue is full; retry later",
-                        ),
+                        &id,
+                        ErrorKind::Busy,
+                        "worker queue is full; retry later",
                     );
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     metrics.kind(kind).errors.inc();
-                    push_response(
+                    push_error(
                         conn,
-                        &proto::error_response(
-                            &id,
-                            ErrorKind::ShuttingDown,
-                            "worker pool has shut down",
-                        ),
+                        &id,
+                        ErrorKind::ShuttingDown,
+                        "worker pool has shut down",
                     );
                 }
             }
@@ -1142,12 +1137,11 @@ fn assemble_batch(count: usize, mut parts: impl Iterator<Item = String>, budget:
 }
 
 /// The request-execution layer one serve loop shares across its workers:
-/// the store's query front-end plus the deterministic result cache
-/// (DESIGN.md §6.5). Responses travel as *text* from here on — a cached
-/// payload is spliced into its envelope byte-for-byte, never re-parsed,
-/// which is what makes warm responses provably identical to cold ones.
+/// the store plus the deterministic result cache (DESIGN.md §6.5).
+/// Responses travel as *text* from here on — a cached payload is spliced
+/// into its envelope byte-for-byte, never re-parsed, which is what makes
+/// warm responses provably identical to cold ones.
 struct Engine<'s> {
-    query: StoreQuery<'s>,
     store: &'s UrnStore,
     cache: QueryCache,
     metrics: &'s ServerMetrics,
@@ -1164,7 +1158,6 @@ impl<'s> Engine<'s> {
         repl: &'s ReplShared,
     ) -> Engine<'s> {
         Engine {
-            query: StoreQuery::new(store),
             store,
             cache: QueryCache::new(cache_bytes),
             metrics,
@@ -1235,10 +1228,12 @@ impl<'s> Engine<'s> {
     /// a concurrent duplicate coalesces onto the in-flight leader, and
     /// only a true miss runs the estimator.
     fn payload(&self, req: &Request) -> Result<Arc<str>, (ErrorKind, String)> {
+        // The key binds the urn's build-key content id from its manifest
+        // entry, so a store-local id can never replay another table.
         let key = req
             .cached_urn()
-            .and_then(|urn| self.query.content_id(urn))
-            .and_then(|cid| req.cache_key(cid));
+            .and_then(|urn| self.store.meta(urn))
+            .and_then(|meta| req.cache_key(meta.key.content_id()));
         match key {
             Some(key) => self.cache.serve(&key, || self.compute(req)).0,
             // Unknown urn or uncacheable type: compute directly (the
@@ -1256,22 +1251,22 @@ impl<'s> Engine<'s> {
     /// the result cache's.
     fn stats_json(&self) -> Value {
         let per_urn: Vec<Value> = self
-            .query
-            .per_urn_stats()
+            .store
+            .per_urn_query_stats()
             .iter()
             .map(|(id, st)| proto::urn_stats_json(*id, st))
             .collect();
         json!({
-            "total": proto::query_stats_json(&self.query.total_stats()),
+            "total": proto::query_stats_json(&self.store.total_query_stats()),
             "per_urn": per_urn,
             "cache": self.store.cache_stats().encode(),
             "query_cache": self.cache.stats().encode(),
         })
     }
 
-    /// Executes one request against the store and query layer.
+    /// Executes one request against the store.
     fn handle(&self, req: &Request) -> Result<Value, (ErrorKind, String)> {
-        let (query, store) = (&self.query, self.store);
+        let store = self.store;
         let registry = |urn| {
             store
                 .meta(urn)
@@ -1297,8 +1292,10 @@ impl<'s> Engine<'s> {
             } => {
                 let mut registry = registry(*urn)?;
                 let cfg = self.sample_config(*seed, *threads);
-                let est = query
-                    .naive_estimates(*urn, &mut registry, *samples, &cfg)
+                let est = store
+                    .query(*urn, |u| {
+                        naive_estimates(u.urn(), &mut registry, *samples, &cfg)
+                    })
                     .map_err(store_err)?;
                 EstimatesReply::of(&est, &registry).encode()
             }
@@ -1320,7 +1317,9 @@ impl<'s> Engine<'s> {
                     idle_limit: idle_limit.unwrap_or(defaults.idle_limit),
                     sample: self.sample_config(*seed, *threads),
                 };
-                let res = query.ags(*urn, &mut registry, &cfg).map_err(store_err)?;
+                let res = store
+                    .query(*urn, |u| ags(u.urn(), &mut registry, &cfg))
+                    .map_err(store_err)?;
                 AgsReply::of(&res, &registry).encode()
             }
             Request::Sample {
@@ -1330,15 +1329,17 @@ impl<'s> Engine<'s> {
                 threads,
             } => {
                 let cfg = self.sample_config(*seed, *threads);
-                let tally = query
-                    .sample_tally(*urn, *samples, &cfg)
+                let (tally, _) = store
+                    .query(*urn, |u| sample_tally(u.urn(), *samples, &cfg))
                     .map_err(store_err)?;
                 TallyReply::of(&tally, *samples).encode()
             }
             // Not deterministic (timings, uptime) — and correctly
             // uncacheable: `Request::cache_key` returns `None` for it.
             Request::Metrics => self.metrics.metrics_json(),
-            Request::Stats { urn: Some(urn) } => proto::urn_stats_json(*urn, &query.stats(*urn)),
+            Request::Stats { urn: Some(urn) } => {
+                proto::urn_stats_json(*urn, &store.query_stats(*urn))
+            }
             Request::Stats { urn: None } => self.stats_json(),
             Request::Build {
                 graph,

@@ -2,10 +2,10 @@
 //! backpressure, determinism against the query layer, and graceful
 //! shutdown — all against a real TCP socket on an ephemeral port.
 
-use motivo_core::{BuildConfig, SampleConfig};
+use motivo_core::{naive_estimates, BuildConfig, SampleConfig};
 use motivo_graphlet::GraphletRegistry;
 use motivo_server::{proto, Client, ClientError, ServeOptions, Server};
-use motivo_store::{StoreQuery, UrnId, UrnStore};
+use motivo_store::{UrnId, UrnStore};
 use serde_json::json;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,16 +35,10 @@ fn serves_queries_and_matches_in_process_bytes() {
 
     // The in-process truth, serialized exactly as the server does.
     let expected = {
-        let query = StoreQuery::new(&store);
+        let urn = store.get(UrnId(0)).unwrap();
         let mut registry = GraphletRegistry::new(4);
-        let est = query
-            .naive_estimates(
-                UrnId(0),
-                &mut registry,
-                10_000,
-                &SampleConfig::seeded(3).threads(2),
-            )
-            .unwrap();
+        let cfg = SampleConfig::seeded(3).threads(2);
+        let est = naive_estimates(urn.urn(), &mut registry, 10_000, &cfg);
         serde_json::to_string(&proto::estimates_json(&est, &registry)).unwrap()
     };
 
@@ -255,6 +249,69 @@ fn overload_answers_busy() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every serving count lives in the store's registry, so `Metrics` shows
+/// it: after a cold `NaiveEstimates`, queue-full `Busy` replies and one
+/// replica fetch, the text holds the urn's query latency, hit and miss
+/// handles, `server.connections`, `server.busy`, and the replica's fetch
+/// and offset handles.
+#[test]
+fn serving_counts_show_up_in_metrics_text() {
+    let dir = workdir("registry-counts");
+    let store = seeded_store(&dir);
+    store.evict(UrnId(0)); // the build left it resident; make the query cold
+    let opts = ServeOptions::builder()
+        .workers(1)
+        .queue_depth(1)
+        .build()
+        .unwrap();
+    let server = Server::bind(store, "127.0.0.1:0", opts).unwrap();
+
+    // One slow request holds the only worker and one fills the queue;
+    // identical requests behind them bounce or replay from the cache, so
+    // exactly one reaches the store.
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    let req =
+        json!({"type": "NaiveEstimates", "urn": 0, "samples": 150_000, "seed": 1, "threads": 1});
+    let burst = 8;
+    for _ in 0..burst {
+        proto::write_frame(&mut raw, serde_json::to_string(&req).unwrap().as_bytes()).unwrap();
+    }
+    let mut busy = 0;
+    for _ in 0..burst {
+        let frame = proto::read_frame(&mut raw).unwrap().unwrap();
+        let v: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&frame).unwrap()).unwrap();
+        if let Some(err) = v.get("error") {
+            assert_eq!(err.get("kind").unwrap().as_str(), Some("Busy"), "{v:?}");
+            busy += 1;
+        }
+    }
+    assert!(busy > 0, "burst never hit backpressure");
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .request(&json!({"type": "ReplFetch", "replica": "replica-a"}))
+        .unwrap();
+    let ok = client.request(&json!({"type": "Metrics"})).unwrap();
+    let text = ok.get("text").unwrap().as_str().unwrap().to_string();
+    for needle in [
+        "motivo_store_query_latency_urn_0_us_count 1\n".to_string(),
+        "motivo_store_query_hits_urn_0 0\n".to_string(),
+        "motivo_store_query_misses_urn_0 1\n".to_string(),
+        "motivo_server_connections 2\n".to_string(),
+        format!("motivo_server_busy {busy}\n"),
+        "motivo_repl_fetches_replica_a 1\n".to_string(),
+        "motivo_repl_offset_replica_a 0\n".to_string(),
+    ] {
+        assert!(text.contains(&needle), "missing `{needle}` in:\n{text}");
+    }
+
+    server.shutdown();
+    let report = server.join();
+    assert_eq!((report.busy_rejections, report.connections), (busy, 2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Shutdown drains: requests accepted before the signal all get real
 /// responses, requests after it get `ShuttingDown`.
 #[test]
@@ -426,19 +483,18 @@ fn shutdown_is_not_stalled_by_a_chatty_client() {
 }
 
 /// Cache exactness: for a seeded request the cold (miss) response bytes,
-/// the warm (cached) response bytes, and the in-process [`StoreQuery`]
-/// serialization are all identical — determinism makes the cache exact.
+/// the warm (cached) response bytes, and the in-process estimate on
+/// `UrnStore::get` serialize identically — determinism makes the cache
+/// exact.
 #[test]
 fn cache_replays_exact_cold_bytes() {
     let dir = workdir("cache-exact");
     let store = seeded_store(&dir);
 
     let expected = {
-        let query = StoreQuery::new(&store);
+        let urn = store.get(UrnId(0)).unwrap();
         let mut registry = GraphletRegistry::new(4);
-        let est = query
-            .naive_estimates(UrnId(0), &mut registry, 5_000, &SampleConfig::seeded(7))
-            .unwrap();
+        let est = naive_estimates(urn.urn(), &mut registry, 5_000, &SampleConfig::seeded(7));
         serde_json::to_string(&proto::estimates_json(&est, &registry)).unwrap()
     };
 

@@ -14,26 +14,28 @@
 //!   garbage-collects builds a crash left half-written.
 //! - **Serving** ([`cache`], [`query`]): loaded urns live in a
 //!   byte-budgeted LRU, so hot graphs answer from memory while cold ones
-//!   stay on disk. [`StoreQuery`] routes `naive_estimates`/`ags` calls
-//!   through the cache and records per-urn hit/miss/latency statistics.
+//!   stay on disk. [`UrnStore::query`] runs an estimator on an urn
+//!   fetched through the cache and counts the query — hit or miss, and
+//!   its latency — in the store's registry ([`UrnStore::obs`]), where
+//!   `Metrics` shows it and [`QueryStats`] rows are read back from.
 //! - **Builds** ([`store`]): [`UrnStore::build_or_get`] deduplicates on
 //!   the build key (graph fingerprint, k, coloring, 0-rooting) and
 //!   enqueues cache-missing builds on a background worker thread; callers
 //!   poll or block on a [`BuildHandle`].
 //!
 //! ```no_run
-//! use motivo_store::{StoreQuery, UrnStore};
-//! use motivo_core::{BuildConfig, SampleConfig};
+//! use motivo_store::UrnStore;
+//! use motivo_core::{naive_estimates, BuildConfig, SampleConfig};
 //!
 //! let graph = motivo_graph::generators::barabasi_albert(10_000, 3, 7);
 //! let store = UrnStore::open("motif-store")?;
 //! let handle = store.build_or_get(&graph, &BuildConfig::new(5).seed(1))?;
 //! let id = handle.wait()?.urn().k(); // blocks until built (or instant if stored)
 //!
-//! let query = StoreQuery::new(&store);
 //! let mut registry = motivo_graphlet::GraphletRegistry::new(5);
-//! let est =
-//!     query.naive_estimates(handle.id(), &mut registry, 100_000, &SampleConfig::seeded(2))?;
+//! let est = store.query(handle.id(), |urn| {
+//!     naive_estimates(urn.urn(), &mut registry, 100_000, &SampleConfig::seeded(2))
+//! })?;
 //! println!("~{:.3e} copies, {:?} cache", est.total_count(), store.cache_stats());
 //! # Ok::<(), motivo_store::StoreError>(())
 //! ```
@@ -53,6 +55,6 @@ pub use error::StoreError;
 pub use journal::Journal;
 pub use manifest::{BuildKey, BuildStatus, GraphMeta, ManifestRecord, UrnId, UrnMeta};
 pub use owned::StoreUrn;
-pub use query::{QueryStats, StoreQuery};
+pub use query::QueryStats;
 pub use replication::{FileMeta, JournalSegment, FILE_CHUNK_BYTES, SEGMENT_MAX_BYTES};
 pub use store::{BuildHandle, GcReport, RecoveryReport, StoreOptions, UrnStore};

@@ -1,31 +1,27 @@
-//! [`StoreQuery`]: the query front-end. Routes estimator calls through
-//! the store's cache and keeps per-urn serving statistics (hits, misses,
-//! latency), which is what a long-lived service wants to watch.
-//!
-//! Statistics are **sharded per urn and lock-free on the hot path**: each
-//! urn owns a cell of atomic counters behind an `Arc`, and the map from
-//! urn id to cell sits under an `RwLock` that queries only ever *read*
-//! (the write lock is taken once per urn, on its first query). Concurrent
-//! readers therefore never serialize behind one another — neither on the
-//! counters (atomic adds) nor on the map (shared read locks) — which is
-//! what lets one `StoreQuery` serve many sampling threads at full speed.
+//! [`QueryStats`]: per-urn serving counters, read back from the store's
+//! [`Registry`]. [`crate::UrnStore::query`] is the only writer: each query
+//! lands in three handles named after its urn —
+//! `store.query.latency.urn-<id>` (a log-bucket histogram whose count is
+//! the query count and whose sum is the total latency), and the
+//! `store.query.hits.urn-<id>` / `store.query.misses.urn-<id>` counters.
+//! `Metrics` renders them next to every other metric; the rows here are
+//! rebuilt from them without registering anything, so an urn that never
+//! answered a query has no row.
 
-use motivo_core::{
-    ags, naive_estimates, sample_tally, AgsConfig, AgsResult, Estimates, SampleConfig,
-};
-use motivo_graphlet::GraphletRegistry;
-use motivo_obs::{Histogram, HistogramSnapshot};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use motivo_obs::{HistogramSnapshot, Registry};
+use std::time::Duration;
 
-use crate::error::StoreError;
 use crate::manifest::UrnId;
-use crate::store::UrnStore;
+
+/// Name prefix of the per-urn query latency histograms.
+pub(crate) const LATENCY: &str = "store.query.latency.";
+/// Name prefix of the per-urn counters of queries whose urn was resident.
+pub(crate) const HITS: &str = "store.query.hits.";
+/// Name prefix of the per-urn counters of queries that loaded their urn.
+pub(crate) const MISSES: &str = "store.query.misses.";
 
 /// Serving counters for one urn (or aggregated over all of them) — a
-/// consistent-enough snapshot of the live atomic cells.
+/// consistent-enough snapshot of the live registry handles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Queries answered.
@@ -48,22 +44,16 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    fn from_counts(
-        queries: u64,
-        cache_hits: u64,
-        cache_misses: u64,
-        total_latency: Duration,
-        hist: &HistogramSnapshot,
-    ) -> QueryStats {
+    fn of(cache_hits: u64, cache_misses: u64, latency: &HistogramSnapshot) -> QueryStats {
         QueryStats {
-            queries,
+            queries: latency.count(),
             cache_hits,
             cache_misses,
-            total_latency,
-            p50_latency: Duration::from_nanos(hist.quantile(0.5)),
-            p90_latency: Duration::from_nanos(hist.quantile(0.9)),
-            p99_latency: Duration::from_nanos(hist.quantile(0.99)),
-            max_latency: Duration::from_nanos(hist.max),
+            total_latency: Duration::from_nanos(latency.sum),
+            p50_latency: Duration::from_nanos(latency.quantile(0.5)),
+            p90_latency: Duration::from_nanos(latency.quantile(0.9)),
+            p99_latency: Duration::from_nanos(latency.quantile(0.99)),
+            max_latency: Duration::from_nanos(latency.max),
         }
     }
 
@@ -77,211 +67,25 @@ impl QueryStats {
     }
 }
 
-/// The live counters of one urn. Updated with relaxed atomic adds — the
-/// counters are independent monotone sums, so no ordering between them is
-/// needed; a snapshot may be mid-update by at most one query per field.
-#[derive(Default)]
-struct StatsCell {
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    latency_nanos: AtomicU64,
-    /// Per-urn latency distribution: a lock-free log-bucket histogram, so
-    /// `per_urn_stats` reports p50/p99 instead of just a mean. Same
-    /// relaxed-atomic discipline as the counters above.
-    latency_hist: Histogram,
-}
-
-impl StatsCell {
-    fn record(&self, cache_hit: bool, elapsed: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.latency_hist.record_duration(elapsed);
+/// Every urn's row, ascending by id, and the total over them. The total's
+/// latency quantiles come from merging the per-urn histograms (exact: the
+/// bucket layout is global), not from averaging per-urn quantiles.
+pub(crate) fn read(registry: &Registry) -> (Vec<(UrnId, QueryStats)>, QueryStats) {
+    let hits = registry.counter_values(HITS);
+    let misses = registry.counter_values(MISSES);
+    let mut rows = Vec::new();
+    let mut total = (0, 0, HistogramSnapshot::empty());
+    for (name, latency) in registry.histogram_snapshots(LATENCY) {
+        let Some(id) = name.strip_prefix("urn-").and_then(|n| n.parse().ok()) else {
+            continue;
+        };
+        let h = hits.get(&name).copied().unwrap_or(0);
+        let m = misses.get(&name).copied().unwrap_or(0);
+        total.0 += h;
+        total.1 += m;
+        total.2.merge(&latency);
+        rows.push((UrnId(id), QueryStats::of(h, m, &latency)));
     }
-
-    fn snapshot(&self) -> QueryStats {
-        QueryStats::from_counts(
-            self.queries.load(Ordering::Relaxed),
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-            Duration::from_nanos(self.latency_nanos.load(Ordering::Relaxed)),
-            &self.latency_hist.snapshot(),
-        )
-    }
-}
-
-/// A query layer over one store. Thread-safe; borrows the store; cheap to
-/// share by reference across however many serving threads you run.
-///
-/// ```
-/// use motivo_core::{BuildConfig, SampleConfig};
-/// use motivo_graphlet::GraphletRegistry;
-/// use motivo_store::{StoreQuery, UrnStore};
-///
-/// let dir = std::env::temp_dir().join(format!("motivo-query-doc-{}", std::process::id()));
-/// let store = UrnStore::open(&dir).unwrap();
-/// let graph = motivo_graph::generators::complete_graph(6);
-/// let handle = store.build_or_get(&graph, &BuildConfig::new(3).seed(1)).unwrap();
-/// handle.wait().unwrap();
-/// let id = handle.id();
-///
-/// let query = StoreQuery::new(&store);
-/// let mut registry = GraphletRegistry::new(3);
-/// let est = query
-///     .naive_estimates(id, &mut registry, 2_000, &SampleConfig::seeded(2))
-///     .unwrap();
-/// assert_eq!(est.samples, 2_000);
-/// assert_eq!(query.stats(id).queries, 1);
-/// # drop(store); std::fs::remove_dir_all(&dir).ok();
-/// ```
-pub struct StoreQuery<'s> {
-    store: &'s UrnStore,
-    stats: RwLock<HashMap<UrnId, Arc<StatsCell>>>,
-}
-
-impl<'s> StoreQuery<'s> {
-    pub fn new(store: &'s UrnStore) -> StoreQuery<'s> {
-        StoreQuery {
-            store,
-            stats: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &UrnStore {
-        self.store
-    }
-
-    /// The manifest entry of `id`, if the store knows it — the query-side
-    /// passthrough serving layers use so they never reach around the
-    /// query front-end to the store.
-    pub fn meta(&self, id: UrnId) -> Option<crate::manifest::UrnMeta> {
-        self.store.meta(id)
-    }
-
-    /// The build-key content identity of `id`
-    /// ([`crate::manifest::BuildKey::content_id`]): graph fingerprint +
-    /// k + coloring seed + bias + 0-rooting + codec, folded to 64 bits.
-    /// This is what a result-cache key must bind to — urn *ids* are
-    /// store-local handles, but two urns with one content id hold
-    /// identical tables and therefore serve byte-identical seeded
-    /// responses.
-    pub fn content_id(&self, id: UrnId) -> Option<u64> {
-        self.store.meta(id).map(|m| m.key.content_id())
-    }
-
-    /// The stats cell for `id` — read lock on the fast path, write lock
-    /// only the first time an urn is queried.
-    fn cell(&self, id: UrnId) -> Arc<StatsCell> {
-        if let Some(cell) = self.stats.read().expect("query stats poisoned").get(&id) {
-            return cell.clone();
-        }
-        self.stats
-            .write()
-            .expect("query stats poisoned")
-            .entry(id)
-            .or_default()
-            .clone()
-    }
-
-    fn record<T>(
-        &self,
-        id: UrnId,
-        run: impl FnOnce(&crate::owned::StoreUrn) -> T,
-    ) -> Result<T, StoreError> {
-        let t0 = Instant::now();
-        // One traced fetch both serves the urn and attributes the hit/miss,
-        // so a load racing with another thread is counted exactly once.
-        let (urn, cache_hit) = self.store.get_traced(id)?;
-        let out = run(&urn);
-        self.cell(id).record(cache_hit, t0.elapsed());
-        Ok(out)
-    }
-
-    /// Naive estimation (uniform treelet sampling) through the cache.
-    /// `registry` grows with discovered classes, exactly as in
-    /// [`motivo_core::naive_estimates`]; its `k` must match the urn's.
-    /// `cfg.threads` sets the sampling fan-out.
-    pub fn naive_estimates(
-        &self,
-        id: UrnId,
-        registry: &mut GraphletRegistry,
-        samples: u64,
-        cfg: &SampleConfig,
-    ) -> Result<Estimates, StoreError> {
-        self.record(id, |urn| naive_estimates(urn.urn(), registry, samples, cfg))
-    }
-
-    /// Adaptive graphlet sampling through the cache. `cfg.sample.threads`
-    /// sets the per-epoch sampling fan-out.
-    pub fn ags(
-        &self,
-        id: UrnId,
-        registry: &mut GraphletRegistry,
-        cfg: &AgsConfig,
-    ) -> Result<AgsResult, StoreError> {
-        self.record(id, |urn| ags(urn.urn(), registry, cfg))
-    }
-
-    /// Raw canonical-code tally through the cache: `samples` treelet
-    /// copies, tallied per canonical graphlet code. This is the
-    /// registry-free half of [`StoreQuery::naive_estimates`] — what a
-    /// server exposes as "graphlet occurrences" without committing to any
-    /// particular class indexing.
-    pub fn sample_tally(
-        &self,
-        id: UrnId,
-        samples: u64,
-        cfg: &SampleConfig,
-    ) -> Result<HashMap<u128, u64>, StoreError> {
-        self.record(id, |urn| sample_tally(urn.urn(), samples, cfg).0)
-    }
-
-    /// Counters for one urn. Never blocks behind writers for long: takes
-    /// the map's read lock and snapshots the atomics.
-    pub fn stats(&self, id: UrnId) -> QueryStats {
-        self.stats
-            .read()
-            .expect("query stats poisoned")
-            .get(&id)
-            .map(|cell| cell.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Per-urn counters for every urn this query layer has served,
-    /// ascending by id — the snapshot a shutting-down server flushes to
-    /// disk ([`crate::UrnStore::flush_stats`]).
-    pub fn per_urn_stats(&self) -> Vec<(UrnId, QueryStats)> {
-        let stats = self.stats.read().expect("query stats poisoned");
-        let mut rows: Vec<(UrnId, QueryStats)> = stats
-            .iter()
-            .map(|(&id, cell)| (id, cell.snapshot()))
-            .collect();
-        rows.sort_unstable_by_key(|&(id, _)| id);
-        rows
-    }
-
-    /// Counters summed over every urn served. Latency quantiles come from
-    /// merging the per-urn histograms (merge is exact: the bucket layout
-    /// is global), not from averaging per-urn quantiles.
-    pub fn total_stats(&self) -> QueryStats {
-        let stats = self.stats.read().expect("query stats poisoned");
-        let (mut queries, mut hits, mut misses) = (0u64, 0u64, 0u64);
-        let mut latency = Duration::ZERO;
-        let mut hist = HistogramSnapshot::empty();
-        for cell in stats.values() {
-            queries += cell.queries.load(Ordering::Relaxed);
-            hits += cell.cache_hits.load(Ordering::Relaxed);
-            misses += cell.cache_misses.load(Ordering::Relaxed);
-            latency += Duration::from_nanos(cell.latency_nanos.load(Ordering::Relaxed));
-            hist.merge(&cell.latency_hist.snapshot());
-        }
-        QueryStats::from_counts(queries, hits, misses, latency, &hist)
-    }
+    rows.sort_unstable_by_key(|&(id, _)| id);
+    (rows, QueryStats::of(total.0, total.1, &total.2))
 }

@@ -32,6 +32,7 @@ use crate::manifest::{
     self, BuildKey, BuildStatus, GraphMeta, ManifestRecord, ManifestState, UrnId, UrnMeta,
 };
 use crate::owned::StoreUrn;
+use crate::query::{self, QueryStats};
 
 /// Store tuning knobs. A build's thread count is the caller's
 /// [`BuildConfig::threads`].
@@ -132,9 +133,9 @@ impl Inner {
     /// The boolean reports whether *this call* was served straight from the
     /// resident cache. It is the authoritative hit/miss attribution: a
     /// racing loader that adopts the winner's entry still did the disk work
-    /// and still reports a miss, exactly once (the historical
-    /// check-`is_cached`-then-`get` pattern could count the same load as
-    /// both a hit and a miss across the two calls).
+    /// and still reports a miss, exactly once (a residency probe followed
+    /// by a fetch could count the same load as both a hit and a miss
+    /// across the two calls).
     fn get_urn(&self, id: UrnId) -> Result<(Arc<StoreUrn>, bool), StoreError> {
         let (fingerprint, resident_graph) = {
             let mut state = self.state.lock().expect("store state poisoned");
@@ -420,13 +421,66 @@ impl UrnStore {
         self.inner.get_urn(id).map(|(urn, _)| urn)
     }
 
-    /// Like [`UrnStore::get`], but also reports whether this call was
-    /// served from the resident cache (`true`) or had to load the urn from
-    /// disk (`false`). The query layer uses this for hit/miss accounting —
-    /// unlike an [`UrnStore::is_cached`] probe followed by a `get`, the
-    /// attribution cannot race with concurrent loads or evictions.
-    pub fn get_traced(&self, id: UrnId) -> Result<(Arc<StoreUrn>, bool), StoreError> {
-        self.inner.get_urn(id)
+    /// Fetches `id` through the cache and runs `run` on it: the entry
+    /// point of every estimator query. The query is counted in the store's
+    /// registry — its latency (fetch + `run`) in
+    /// `store.query.latency.urn-<id>`, and a hit or a miss in
+    /// `store.query.hits.urn-<id>` / `store.query.misses.urn-<id>` — as
+    /// [`crate::query`] describes. The hit/miss is this call's own fetch,
+    /// so a load racing with another thread is counted exactly once. A
+    /// failed fetch counts nothing.
+    ///
+    /// ```
+    /// use motivo_core::{naive_estimates, BuildConfig, SampleConfig};
+    /// use motivo_graphlet::GraphletRegistry;
+    /// use motivo_store::UrnStore;
+    ///
+    /// let dir = std::env::temp_dir().join(format!("motivo-query-doc-{}", std::process::id()));
+    /// let store = UrnStore::open(&dir).unwrap();
+    /// let graph = motivo_graph::generators::complete_graph(6);
+    /// let handle = store.build_or_get(&graph, &BuildConfig::new(3).seed(1)).unwrap();
+    /// handle.wait().unwrap();
+    /// let id = handle.id();
+    ///
+    /// let mut registry = GraphletRegistry::new(3);
+    /// let est = store
+    ///     .query(id, |urn| naive_estimates(urn.urn(), &mut registry, 2_000, &SampleConfig::seeded(2)))
+    ///     .unwrap();
+    /// assert_eq!(est.samples, 2_000);
+    /// assert_eq!(store.query_stats(id).queries, 1);
+    /// # drop(store); std::fs::remove_dir_all(&dir).ok();
+    /// ```
+    pub fn query<T>(&self, id: UrnId, run: impl FnOnce(&StoreUrn) -> T) -> Result<T, StoreError> {
+        let t0 = Instant::now();
+        let (urn, hit) = self.inner.get_urn(id)?;
+        let out = run(&urn);
+        let obs = &self.inner.obs;
+        obs.histogram(&format!("{}{id}", query::LATENCY))
+            .record_duration(t0.elapsed());
+        obs.counter(&format!("{}{id}", query::HITS)).add(hit as u64);
+        obs.counter(&format!("{}{id}", query::MISSES))
+            .add(!hit as u64);
+        Ok(out)
+    }
+
+    /// The serving counters of `id` ([`UrnStore::query`] calls); all zero
+    /// if it never answered one.
+    pub fn query_stats(&self, id: UrnId) -> QueryStats {
+        let (rows, _) = query::read(&self.inner.obs);
+        rows.into_iter()
+            .find(|&(row, _)| row == id)
+            .map_or_else(QueryStats::default, |(_, stats)| stats)
+    }
+
+    /// The serving counters of every urn that answered a query, ascending
+    /// by id — the rows `Stats` and `server-stats.json` report.
+    pub fn per_urn_query_stats(&self) -> Vec<(UrnId, QueryStats)> {
+        query::read(&self.inner.obs).0
+    }
+
+    /// The serving counters summed over every urn.
+    pub fn total_query_stats(&self) -> QueryStats {
+        query::read(&self.inner.obs).1
     }
 
     /// The manifest entry for one urn, if it exists.
@@ -445,14 +499,6 @@ impl UrnStore {
     pub fn graphs(&self) -> Vec<GraphMeta> {
         let state = self.inner.state.lock().expect("store state poisoned");
         state.manifest.graphs.values().copied().collect()
-    }
-
-    /// Whether `id` is currently resident in the cache (no recency or
-    /// counter update — a pure observation, used by the query layer to
-    /// attribute hits and misses).
-    pub fn is_cached(&self, id: UrnId) -> bool {
-        let state = self.inner.state.lock().expect("store state poisoned");
-        state.cache.contains(id)
     }
 
     /// Drops an urn from the cache (it stays on disk); returns whether it
@@ -484,7 +530,7 @@ impl UrnStore {
     /// Writes a serving-stats sidecar (`server-stats.json`) into the store
     /// directory, atomically (temp file + rename). The store does not
     /// interpret the body — the server composes it from
-    /// [`crate::StoreQuery::per_urn_stats`] and [`UrnStore::cache_stats`]
+    /// [`UrnStore::per_urn_query_stats`] and [`UrnStore::cache_stats`]
     /// at shutdown — but owning the write here keeps every file under the
     /// store directory written by the store itself.
     pub fn flush_stats(&self, body: &[u8]) -> Result<PathBuf, StoreError> {

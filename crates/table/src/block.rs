@@ -175,10 +175,35 @@ struct BlockMeta {
     len: u32,
 }
 
+/// The `<path>.new` file a [`BlockWriter`] fills. Dropped before
+/// [`TempPath::rename_to`] moved it into place, it removes the file, so a
+/// write that fails part-way leaves no partial level behind.
+struct TempPath(Option<PathBuf>);
+
+impl TempPath {
+    fn rename_to(mut self, path: &Path) -> io::Result<()> {
+        std::fs::rename(self.0.as_ref().expect("renamed once"), path)?;
+        self.0 = None;
+        Ok(())
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        if let Some(tmp) = self.0.take() {
+            std::fs::remove_file(tmp).ok();
+        }
+    }
+}
+
 /// Streams ascending `(vertex, encoded record)` pairs into a block file.
+/// Dropped without a successful [`BlockWriter::finish`], it removes its
+/// temporary file.
 pub struct BlockWriter {
+    /// Declared before `tmp`, so buffered bytes are flushed before the
+    /// file is removed.
     out: BufWriter<File>,
-    tmp: PathBuf,
+    tmp: TempPath,
     path: PathBuf,
     target: usize,
     n: u32,
@@ -211,7 +236,7 @@ impl BlockWriter {
             .open(&tmp)?;
         Ok(BlockWriter {
             out: BufWriter::with_capacity(IO_RUN_BYTES, file),
-            tmp,
+            tmp: TempPath(Some(tmp)),
             path,
             target: BLOCK_TARGET_BYTES,
             n,
@@ -321,7 +346,7 @@ impl BlockWriter {
         self.out.write_all(BLOCK_MAGIC)?;
         self.out.flush()?;
         let file = self.out.into_inner().map_err(|e| e.into_error())?;
-        std::fs::rename(&self.tmp, &self.path)?;
+        self.tmp.rename_to(&self.path)?;
         let data = Mmap::map(&file, self.offset)?;
         Ok(SealedBlocks {
             file,
@@ -352,9 +377,11 @@ pub struct SealedBlocks {
 
 impl SealedBlocks {
     /// Opens and validates a block file: footer magic, index checksum,
-    /// and contiguous in-bounds block extents. Any truncation or
-    /// corruption is rejected here, before a single record is served.
-    /// Only then is the data region mapped.
+    /// contiguous in-bounds block extents, and footer totals the index
+    /// and data region can hold (`records` is the index's entry count;
+    /// `payload_bytes` plus two varint bytes per entry fit the data
+    /// region). Any truncation or corruption is rejected here, before a
+    /// single record is served. Only then is the data region mapped.
     pub fn open<P: AsRef<Path>>(path: P, codec: RecordCodec) -> io::Result<SealedBlocks> {
         use std::os::unix::fs::FileExt;
         let path = path.as_ref().to_path_buf();
@@ -385,6 +412,7 @@ impl SealedBlocks {
         }
         let mut index = Vec::with_capacity(nblocks as usize);
         let mut expect_offset = 0u64;
+        let mut entries = 0u64;
         let mut prev_first: Option<u32> = None;
         for chunk in idx.chunks_exact(INDEX_ENTRY_LEN as usize) {
             let m = BlockMeta {
@@ -401,10 +429,21 @@ impl SealedBlocks {
             }
             prev_first = Some(m.first_v);
             expect_offset += m.len as u64;
+            entries += m.entries as u64;
             index.push(m);
         }
         if expect_offset != data_len {
             return Err(invalid("block data region length mismatch"));
+        }
+        // No checksum covers the footer, and its totals become the level's
+        // `record_count` and `byte_size`, which the store's LRU charges.
+        if entries != records as u64 {
+            return Err(invalid(
+                "block footer record count disagrees with its index",
+            ));
+        }
+        if payload_bytes.saturating_add(2 * entries) > data_len {
+            return Err(invalid("block footer payload bytes exceed its data region"));
         }
         let data = Mmap::map(&file, data_len)?;
         Ok(SealedBlocks {
@@ -847,6 +886,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A writer that fails (here: vertices out of order) and is dropped
+    /// leaves no `.new` file behind.
+    #[test]
+    fn abandoned_writer_leaves_no_temporary_file() {
+        let dir = tmp("abandoned-writer");
+        let path = dir.join("l.mtvb");
+        let codec = RecordCodec::Plain;
+        let mut w = BlockWriter::create(&path, 10, codec).unwrap();
+        w.add(5, &record_in(codec, 5)).unwrap();
+        assert!(w.add(3, &record_in(codec, 3)).is_err());
+        drop(w);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn budgeted_and_unbudgeted_block_files_are_byte_identical() {
         let dir = tmp("identical");
@@ -924,6 +979,53 @@ mod tests {
             let scan: Vec<_> = level.scan().collect();
             assert!(scan.iter().any(Result::is_err), "{codec}: scan");
             assert!(scan.iter().flatten().all(|(v, _)| *v < 4));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// The footer's `records` and `payload_bytes` are checked against the
+    /// CRC-covered index and the data region: a doctored total is refused
+    /// at open instead of misstating the level's size.
+    #[test]
+    fn footer_totals_disagreeing_with_the_index_are_refused() {
+        for codec in RecordCodec::ALL {
+            let dir = tmp(&format!("footer-totals-{codec}"));
+            let path = dir.join("l.mtvb");
+            let mut blk = builder(&path, 40, codec, 0);
+            for v in 0..40u32 {
+                blk.put(v, record_in(codec, v as u64)).unwrap();
+            }
+            drop(blk.seal().unwrap());
+            let good = std::fs::read(&path).unwrap();
+            let footer = good.len() - FOOTER_LEN as usize;
+            let field = |at: usize, len: usize| {
+                let mut b = [0u8; 8];
+                b[..len].copy_from_slice(&good[footer + at..footer + at + len]);
+                u64::from_le_bytes(b)
+            };
+            let (records, payload, blocks) = (field(4, 4), field(8, 8), field(16, 4));
+            assert_eq!(records, 40);
+            let data_len = (footer - blocks as usize * INDEX_ENTRY_LEN as usize) as u64;
+            for (what, at, value) in [
+                ("records + 1", 4, (records + 1).to_le_bytes()[..4].to_vec()),
+                ("records - 1", 4, (records - 1).to_le_bytes()[..4].to_vec()),
+                (
+                    "payload past the data region",
+                    8,
+                    (data_len - 2 * records + 1).to_le_bytes().to_vec(),
+                ),
+                ("payload u64::MAX", 8, u64::MAX.to_le_bytes().to_vec()),
+            ] {
+                let mut bytes = good.clone();
+                bytes[footer + at..footer + at + value.len()].copy_from_slice(&value);
+                std::fs::write(&path, &bytes).unwrap();
+                match SealedBlocks::open(&path, codec) {
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{codec} {what}"),
+                    Ok(_) => panic!("{codec}: footer with {what} opened (payload {payload})"),
+                }
+            }
+            std::fs::write(&path, &good).unwrap();
+            assert!(SealedBlocks::open(&path, codec).is_ok());
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -6,9 +6,9 @@
 //! cargo run --release --example store_service
 //! ```
 
-use motivo::core::{AgsConfig, BuildConfig, SampleConfig};
+use motivo::core::{ags, naive_estimates, AgsConfig, BuildConfig, SampleConfig};
 use motivo::graphlet::{name, GraphletRegistry};
-use motivo::store::{StoreQuery, UrnStore};
+use motivo::store::UrnStore;
 
 fn main() {
     let dir = std::env::temp_dir().join("motivo-store-service-example");
@@ -59,7 +59,6 @@ fn main() {
         store.graphs().len()
     );
 
-    let query = StoreQuery::new(&store);
     let mut social_reg = GraphletRegistry::new(k as u8);
     let mut flat_reg = GraphletRegistry::new(k as u8);
 
@@ -70,8 +69,9 @@ fn main() {
             ("social", social_id, &mut social_reg),
             ("flat", flat_id, &mut flat_reg),
         ] {
-            let est = query
-                .naive_estimates(id, reg, 50_000, &SampleConfig::seeded(round + 10))
+            let cfg = SampleConfig::seeded(round + 10);
+            let est = store
+                .query(id, |urn| naive_estimates(urn.urn(), reg, 50_000, &cfg))
                 .expect("query");
             println!(
                 "round {round} {label:>6} ({id}): total ~{:.3e} from {} samples",
@@ -82,15 +82,12 @@ fn main() {
     }
 
     // Rare-motif traffic goes through AGS on the same cached urns.
-    let ags = query
-        .ags(
-            social_id,
-            &mut social_reg,
-            &AgsConfig {
-                max_samples: 50_000,
-                ..AgsConfig::default()
-            },
-        )
+    let cfg = AgsConfig {
+        max_samples: 50_000,
+        ..AgsConfig::default()
+    };
+    let ags = store
+        .query(social_id, |urn| ags(urn.urn(), &mut social_reg, &cfg))
         .expect("ags query");
     let rare = ags
         .estimates
@@ -107,18 +104,19 @@ fn main() {
         );
     }
 
-    // Concurrent clients: the sharded stats and the lock-free read path let
+    // Concurrent clients: each query bumps atomic registry handles, so
     // queries run in parallel without serializing on the scoreboard, and the
     // seed-split sampler makes every client's answer reproducible.
-    let before = query.total_stats().queries;
+    let before = store.total_query_stats().queries;
     crossbeam::thread::scope(|scope| {
         for client in 0..4u64 {
-            let query = &query;
+            let store = &store;
             scope.spawn(move |_| {
                 let mut reg = GraphletRegistry::new(k as u8);
                 let id = if client % 2 == 0 { social_id } else { flat_id };
-                query
-                    .naive_estimates(id, &mut reg, 20_000, &SampleConfig::seeded(client))
+                let cfg = SampleConfig::seeded(client);
+                store
+                    .query(id, |urn| naive_estimates(urn.urn(), &mut reg, 20_000, &cfg))
                     .expect("concurrent query");
             });
         }
@@ -127,12 +125,13 @@ fn main() {
     println!(
         "\n4 concurrent clients served ({} → {} queries recorded, none lost)",
         before,
-        query.total_stats().queries
+        store.total_query_stats().queries
     );
 
-    // The service scoreboard: hits vs misses and per-urn latency.
+    // The service scoreboard: hits vs misses and per-urn latency, read
+    // back from the store's registry.
     for (label, id) in [("social", social_id), ("flat", flat_id)] {
-        let qs = query.stats(id);
+        let qs = store.query_stats(id);
         println!(
             "{label:>6} {id}: {} queries, {} hits / {} misses, mean latency {:?}",
             qs.queries,

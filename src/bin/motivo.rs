@@ -29,7 +29,7 @@ use motivo::core::{
 use motivo::graph::{generators, io, Graph};
 use motivo::graphlet::{name, GraphletRegistry};
 use motivo::server::{Client, ServeOptions, Server};
-use motivo::store::{BuildStatus, StoreQuery, UrnId, UrnStore};
+use motivo::store::{BuildStatus, UrnId, UrnStore};
 use motivo::table::{CountTable, RecordCodec};
 use std::process::exit;
 use std::sync::Arc;
@@ -557,32 +557,23 @@ fn cmd_store_query(args: &[String]) -> Result<(), String> {
     let seed: u64 = o.get_or("seed", 1)?;
     let threads: usize = o.get_or("threads", 0)?;
     let top: usize = o.get_or("top", 25)?;
-    let query = StoreQuery::new(&store);
     let mut registry = GraphletRegistry::new(meta.key.k as u8);
-    let est = if o.has("ags") {
-        query
-            .ags(
-                id,
-                &mut registry,
-                &AgsConfig {
+    let sample = SampleConfig::seeded(seed).threads(threads);
+    let est = store
+        .query(id, |urn| {
+            if o.has("ags") {
+                let cfg = AgsConfig {
                     max_samples: samples,
-                    sample: SampleConfig::seeded(seed).threads(threads),
+                    sample,
                     ..AgsConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?
-            .estimates
-    } else {
-        query
-            .naive_estimates(
-                id,
-                &mut registry,
-                samples,
-                &SampleConfig::seeded(seed).threads(threads),
-            )
-            .map_err(|e| e.to_string())?
-    };
-    let qs = query.stats(id);
+                };
+                ags(urn.urn(), &mut registry, &cfg).estimates
+            } else {
+                naive_estimates(urn.urn(), &mut registry, samples, &sample)
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    let qs = store.query_stats(id);
     println!(
         "{}: {} samples in {:?}, {} classes (cache {})",
         id,

@@ -51,7 +51,7 @@
 //! | [`core`] | build-up engine, samplers, naive estimator, AGS |
 //! | [`exact`] | exact ESU enumeration (ground truth) |
 //! | [`baseline`] | the pointer-based CC port the paper compares against |
-//! | [`store`] | crash-safe urn repository: journal, LRU cache, query service |
+//! | [`store`] | crash-safe urn repository: journal, LRU cache, queries counted in its metric registry |
 //! | [`server`] | TCP query daemon over a store: worker pool, backpressure, wire client, leader/replica replication |
 //! | [`obs`] | metrics & tracing: counters, latency histograms, spans, Prometheus text |
 
@@ -80,7 +80,7 @@ pub mod prelude {
         Client, ClientError, Request, Response, ServeOptions, ServeOptionsBuilder, ServeReport,
         Server,
     };
-    pub use crate::store::{StoreError, StoreQuery, UrnId, UrnStore};
+    pub use crate::store::{QueryStats, StoreError, UrnId, UrnStore};
     pub use crate::table::storage::StorageKind;
     pub use crate::table::RecordCodec;
     pub use crate::treelet::{ColorSet, ColoredTreelet, Treelet};

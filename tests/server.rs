@@ -1,6 +1,6 @@
 //! End-to-end tests of `motivo serve`: the real binary on an ephemeral
 //! port, ≥ 32 concurrent clients mixing query types, responses
-//! byte-identical to in-process [`StoreQuery`] calls for a fixed seed, and
+//! byte-identical to in-process estimator calls for a fixed seed, and
 //! a graceful shutdown that drains every accepted request.
 
 mod support;

@@ -3,12 +3,25 @@
 //! directory), crash recovery from a torn journal, and LRU cache
 //! behaviour under a byte budget.
 
-use motivo::core::{BuildConfig, SampleConfig};
+use motivo::core::{naive_estimates, BuildConfig, Estimates, SampleConfig};
 use motivo::graphlet::GraphletRegistry;
 use motivo::store::{
-    BuildKey, BuildStatus, Journal, ManifestRecord, StoreOptions, StoreQuery, UrnId, UrnStore,
+    BuildKey, BuildStatus, Journal, ManifestRecord, StoreOptions, UrnId, UrnStore,
 };
 use std::path::PathBuf;
+
+/// One counted naive-estimate query through the store.
+fn naive(
+    store: &UrnStore,
+    id: UrnId,
+    registry: &mut GraphletRegistry,
+    samples: u64,
+    cfg: &SampleConfig,
+) -> Estimates {
+    store
+        .query(id, |urn| naive_estimates(urn.urn(), registry, samples, cfg))
+        .unwrap()
+}
 
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("motivo-store-itest-{name}"));
@@ -56,15 +69,13 @@ fn roundtrip_two_graphs_across_reopen() {
         let er_urn = er_handle.wait().unwrap();
         // Baseline estimates straight from the first instance.
         let mut reg = GraphletRegistry::new(4);
-        let q = StoreQuery::new(&store);
-        let a = q
-            .naive_estimates(
-                ba_handle.id(),
-                &mut reg,
-                20_000,
-                &SampleConfig::seeded(9).threads(1),
-            )
-            .unwrap();
+        let a = naive(
+            &store,
+            ba_handle.id(),
+            &mut reg,
+            20_000,
+            &SampleConfig::seeded(9).threads(1),
+        );
         (
             ba_handle.id(),
             er_handle.id(),
@@ -91,25 +102,11 @@ fn roundtrip_two_graphs_across_reopen() {
 
     // Queries serve from each urn; the BA urn reproduces the exact same
     // estimate under the same sampling seed (proof it is the same urn).
-    let q = StoreQuery::new(&store);
     let mut reg_ba = GraphletRegistry::new(4);
     let mut reg_er = GraphletRegistry::new(4);
-    let a = q
-        .naive_estimates(
-            ba_id,
-            &mut reg_ba,
-            20_000,
-            &SampleConfig::seeded(9).threads(1),
-        )
-        .unwrap();
-    let b = q
-        .naive_estimates(
-            er_id,
-            &mut reg_er,
-            20_000,
-            &SampleConfig::seeded(9).threads(1),
-        )
-        .unwrap();
+    let cfg = SampleConfig::seeded(9).threads(1);
+    let a = naive(&store, ba_id, &mut reg_ba, 20_000, &cfg);
+    let b = naive(&store, er_id, &mut reg_er, 20_000, &cfg);
     assert!((a.total_count() - ba_total.1).abs() < 1e-9);
     assert!(b.total_count() > 0.0);
     assert_eq!(store.get(ba_id).unwrap().urn().total_treelets(), ba_total.0);
@@ -231,29 +228,28 @@ fn lru_cache_respects_byte_budget_and_counts_hits() {
         },
     )
     .unwrap();
-    let q = StoreQuery::new(&store);
     let mut regs: Vec<GraphletRegistry> = (0..3).map(|_| GraphletRegistry::new(4)).collect();
-    let mut run = |i: usize, q: &StoreQuery<'_>| {
-        q.naive_estimates(
+    let mut run = |i: usize| {
+        naive(
+            &store,
             ids[i],
             &mut regs[i],
             2_000,
             &SampleConfig::seeded(1).threads(1),
-        )
-        .unwrap();
+        );
     };
 
-    run(0, &q); // miss (cold)
-    run(0, &q); // hit
-    run(0, &q); // hit
-    run(1, &q); // miss; evicts urn 0 (budget fits one)
-    run(0, &q); // miss again (was evicted)
-    run(2, &q); // miss; evicts
-    let s0 = q.stats(ids[0]);
+    run(0); // miss (cold)
+    run(0); // hit
+    run(0); // hit
+    run(1); // miss; evicts urn 0 (budget fits one)
+    run(0); // miss again (was evicted)
+    run(2); // miss; evicts
+    let s0 = store.query_stats(ids[0]);
     assert_eq!((s0.queries, s0.cache_hits, s0.cache_misses), (4, 2, 2));
-    let s1 = q.stats(ids[1]);
+    let s1 = store.query_stats(ids[1]);
     assert_eq!((s1.cache_hits, s1.cache_misses), (0, 1));
-    let total = q.total_stats();
+    let total = store.total_query_stats();
     assert_eq!(total.queries, 6);
     assert_eq!(total.cache_hits + total.cache_misses, 6);
     assert!(total.mean_latency() > std::time::Duration::ZERO);
@@ -293,10 +289,9 @@ fn remove_deletes_urn_and_unknown_ids_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Hammer one `StoreQuery` from many threads: every query must be counted
-/// exactly once, hits + misses must add up, and the per-urn cells must sum
-/// to the totals — no lost updates now that the stats are sharded atomics
-/// instead of one global mutex.
+/// Hammer `UrnStore::query` from many threads: every query must be
+/// counted exactly once, hits + misses must add up, and the per-urn
+/// registry handles must sum to the totals — no lost updates.
 #[test]
 fn concurrent_queries_lose_no_stat_updates() {
     let dir = workdir("stress");
@@ -312,30 +307,26 @@ fn concurrent_queries_lose_no_stat_updates() {
         })
         .collect();
 
-    let query = StoreQuery::new(&store);
     let workers = 8;
     let per_worker = 25u64;
     crossbeam::thread::scope(|scope| {
         for w in 0..workers {
-            let query = &query;
-            let ids = &ids;
+            let (store, ids) = (&store, &ids);
             scope.spawn(move |_| {
                 let mut registry = GraphletRegistry::new(3);
                 for i in 0..per_worker {
                     let id = ids[((w + i) % 2) as usize];
-                    query
-                        .naive_estimates(id, &mut registry, 200, &SampleConfig::seeded(w + i))
-                        .unwrap();
+                    naive(store, id, &mut registry, 200, &SampleConfig::seeded(w + i));
                 }
             });
         }
     })
     .unwrap();
 
-    let total = query.total_stats();
+    let total = store.total_query_stats();
     assert_eq!(total.queries, workers * per_worker);
     assert_eq!(total.cache_hits + total.cache_misses, total.queries);
-    let per_urn: Vec<_> = ids.iter().map(|&id| query.stats(id)).collect();
+    let per_urn: Vec<_> = ids.iter().map(|&id| store.query_stats(id)).collect();
     assert_eq!(
         per_urn.iter().map(|s| s.queries).sum::<u64>(),
         total.queries
@@ -418,13 +409,14 @@ fn codec_is_part_of_the_build_key_and_survives_reopen() {
     );
     let mut reg_a = GraphletRegistry::new(4);
     let mut reg_b = GraphletRegistry::new(4);
-    let query = StoreQuery::new(&store);
-    let ea = query
-        .naive_estimates(plain_id, &mut reg_a, 5_000, &SampleConfig::seeded(2))
-        .unwrap();
-    let eb = query
-        .naive_estimates(succ_id, &mut reg_b, 5_000, &SampleConfig::seeded(2))
-        .unwrap();
+    let ea = naive(
+        &store,
+        plain_id,
+        &mut reg_a,
+        5_000,
+        &SampleConfig::seeded(2),
+    );
+    let eb = naive(&store, succ_id, &mut reg_b, 5_000, &SampleConfig::seeded(2));
     for (x, y) in ea.per_graphlet.iter().zip(&eb.per_graphlet) {
         assert_eq!(x.occurrences, y.occurrences);
         assert_eq!(x.count.to_bits(), y.count.to_bits());

@@ -4,9 +4,9 @@
 //! never fixed sleeps, which is what keeps these suites deflaked.
 #![allow(dead_code)]
 
-use motivo::core::{BuildConfig, SampleConfig};
+use motivo::core::{naive_estimates, BuildConfig, SampleConfig};
 use motivo::graphlet::GraphletRegistry;
-use motivo::prelude::{Client, StoreQuery, UrnId, UrnStore};
+use motivo::prelude::{Client, UrnId, UrnStore};
 use motivo::server::proto;
 use serde_json::{json, Value};
 use std::io::{BufRead, BufReader};
@@ -37,16 +37,14 @@ pub fn seed_store(dir: &PathBuf, samples: u64, seed: u64) -> String {
         .build_or_get(&graph, &BuildConfig::new(4).seed(2))
         .unwrap();
     handle.wait().unwrap();
-    let query = StoreQuery::new(&store);
+    let urn = store.get(UrnId(0)).unwrap();
     let mut registry = GraphletRegistry::new(4);
-    let est = query
-        .naive_estimates(
-            UrnId(0),
-            &mut registry,
-            samples,
-            &SampleConfig::seeded(seed).threads(2),
-        )
-        .unwrap();
+    let est = naive_estimates(
+        urn.urn(),
+        &mut registry,
+        samples,
+        &SampleConfig::seeded(seed).threads(2),
+    );
     serde_json::to_string(&proto::estimates_json(&est, &registry)).unwrap()
 }
 
